@@ -9,34 +9,13 @@ func SetCollectorMaxKept(t *Tool, n int) (restore func()) {
 	return func() { t.detector.Ccfg.MaxKept = prev }
 }
 
-// SetTestHookBetweenPasses installs a hook that runs between the serial
-// streaming analysis' two passes, so tests can mutate the recording
-// mid-analysis. It returns a restore function for the previous hook.
-func SetTestHookBetweenPasses(f func()) (restore func()) {
-	prev := testHookBetweenPasses
-	testHookBetweenPasses = f
-	return func() { testHookBetweenPasses = prev }
-}
-
-// SetForceTwoPass disables the fused single-pass path, routing every
-// analysis through the two-pass pipeline. Tests use it to compare the two
-// paths bit for bit and to exercise the two-pass consistency checks on
-// recordings that would otherwise qualify for the single pass; the
-// benchmark harness uses it as the speedup baseline. It returns a restore
-// function for the previous setting.
-func SetForceTwoPass(v bool) (restore func()) {
-	prev := testHookForceTwoPass
-	testHookForceTwoPass = v
-	return func() { testHookForceTwoPass = prev }
-}
-
-// SetTestHookSinglePassOpened installs a hook that runs after the fused
-// single-pass analysis has opened a recording's index, before any block
-// decodes — the single-pass analogue of SetTestHookBetweenPasses, used to
+// SetTestHookIndexOpened installs a hook that runs after an analysis has
+// opened a recording's block index, before any block decodes — used to
 // mutate the recording mid-analysis and prove the per-block checksum
-// verification fires. It returns a restore function for the previous hook.
-func SetTestHookSinglePassOpened(f func()) (restore func()) {
-	prev := testHookSinglePassOpened
-	testHookSinglePassOpened = f
-	return func() { testHookSinglePassOpened = prev }
+// verification fires, and to see which inputs read through the index. It
+// returns a restore function for the previous hook.
+func SetTestHookIndexOpened(f func()) (restore func()) {
+	prev := testHookIndexOpened
+	testHookIndexOpened = f
+	return func() { testHookIndexOpened = prev }
 }

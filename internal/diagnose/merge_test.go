@@ -1,6 +1,8 @@
 package diagnose
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,24 +11,23 @@ import (
 )
 
 // TestTimelineAddClampsBelowRange is the regression test for the negative
-// bucket index panic: a pass-two sample earlier than anything pass one
-// observed (shard merged out of order, or a file mutated between passes)
-// used to index buckets[-something]. It must clamp into the first bucket
-// instead.
+// bucket index panic: a sample earlier than anything the accumulator has
+// seen (a shard merged out of order) used to index buckets[-something].
+// The window now folds to cover it, so the stray sample is counted in the
+// first bucket and nothing is lost.
 func TestTimelineAddClampsBelowRange(t *testing.T) {
 	acc := NewTimelineAccumulator(4, 1)
 	observed := []pebs.Sample{mkSample(10, true, 100), mkSample(20, true, 100)}
-	acc.Observe(observed)
-	// Time 5 < minT 10: pre-fix this panicked with index out of range.
-	stray := []pebs.Sample{mkSample(5, true, 700)}
 	acc.Add(observed)
+	// Time 5 < every time seen so far.
+	stray := []pebs.Sample{mkSample(5, true, 700)}
 	acc.Add(stray)
 	b := acc.Buckets()
-	if len(b) != 4 {
-		t.Fatalf("%d buckets", len(b))
+	if len(b) == 0 || len(b) > 4 {
+		t.Fatalf("%d buckets, want 1..4", len(b))
 	}
-	if b[0].Samples != 2 {
-		t.Errorf("first bucket holds %v samples, want 2 (observed + clamped stray)", b[0].Samples)
+	if !(b[0].Start <= 5 && 5 < b[0].End) || b[0].Samples < 1 {
+		t.Errorf("first bucket [%v, %v) holds %v samples, want the stray at 5 inside it", b[0].Start, b[0].End, b[0].Samples)
 	}
 	var total float64
 	for _, x := range b {
@@ -36,17 +37,16 @@ func TestTimelineAddClampsBelowRange(t *testing.T) {
 		t.Errorf("timeline holds %v samples, want all 3", total)
 	}
 
-	// The slice form clamps identically.
+	// The slice form gives the same buckets.
 	all := append(append([]pebs.Sample{}, observed...), stray...)
-	if got := Timeline(all, 4, 1); got == nil {
-		t.Fatal("Timeline returned nil")
+	if got := Timeline(all, 4, 1); !reflect.DeepEqual(got, b) {
+		t.Errorf("Timeline = %+v, want %+v", got, b)
 	}
 }
 
 // TestTimelineForkMergeMatchesSerial is the shard contract for the
-// timeline: pass one merged from per-worker range summaries, pass two
-// merged from Fork clones fed arbitrary disjoint chunks in arbitrary
-// order, bit-identical to the serial two-pass accumulator.
+// timeline: per-worker accumulators fed arbitrary contiguous chunks and
+// merged in arbitrary order are bit-identical to the serial accumulator.
 func TestTimelineForkMergeMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	samples := make([]pebs.Sample, 3000)
@@ -70,26 +70,11 @@ func TestTimelineForkMergeMatchesSerial(t *testing.T) {
 			start = end
 		}
 
-		// Pass one: each part observed by its own accumulator, merged in
-		// shuffled order.
 		parent := NewTimelineAccumulator(n, weight)
-		order := rng.Perm(nparts)
-		for _, p := range order {
-			w := NewTimelineAccumulator(n, weight)
-			w.Observe(parts[p])
-			if err := parent.Merge(w); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		// Pass two: per-part forks, merged in a different shuffled order.
-		forks := make([]*TimelineAccumulator, nparts)
-		for i, part := range parts {
-			forks[i] = parent.Fork()
-			forks[i].Add(part)
-		}
 		for _, p := range rng.Perm(nparts) {
-			if err := parent.Merge(forks[p]); err != nil {
+			w := NewTimelineAccumulator(n, weight)
+			w.Add(parts[p])
+			if err := parent.Merge(w); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -99,8 +84,8 @@ func TestTimelineForkMergeMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestTimelineMergeRejectsMismatch: shape and phase mismatches error out
-// instead of misbucketing.
+// TestTimelineMergeRejectsMismatch: shape mismatches error out instead of
+// misbucketing.
 func TestTimelineMergeRejectsMismatch(t *testing.T) {
 	a := NewTimelineAccumulator(8, 1)
 	if err := a.Merge(NewTimelineAccumulator(4, 1)); err == nil {
@@ -109,55 +94,172 @@ func TestTimelineMergeRejectsMismatch(t *testing.T) {
 	if err := a.Merge(NewTimelineAccumulator(8, 2)); err == nil {
 		t.Error("weight mismatch accepted")
 	}
-	one := []pebs.Sample{mkSample(1, true, 100)}
-	a.Observe(one)
-	frozen := a.Fork()
-	if err := a.Merge(frozen); err != nil {
-		// a froze when Fork ran, so this merge is legal; sanity only.
-		t.Errorf("fork merge failed: %v", err)
-	}
-	unfrozen := NewTimelineAccumulator(8, 1)
-	if err := a.Merge(unfrozen); err == nil {
-		t.Error("cross-phase merge accepted")
+	b := NewTimelineAccumulator(8, 1)
+	b.Add([]pebs.Sample{mkSample(1, true, 100)})
+	if err := a.Merge(b); err != nil {
+		t.Errorf("same-shape merge failed: %v", err)
 	}
 }
 
-// TestCFAccumulatorMergeMatchesSerial: CF attribution over merged partial
-// accumulators is bit-identical to the serial fold, in any merge order.
-func TestCFAccumulatorMergeMatchesSerial(t *testing.T) {
-	samples, _, contended, heap := contentionTrace(t, 4000, 7)
-	want := Analyze(heap, samples, contended, 2.5)
+// mergeTree accumulates each part alone, then merges the parts pairwise in
+// a random tree.
+func mergeTree(t *testing.T, rng *rand.Rand, parts [][]pebs.Sample, n int, weight float64) *TimelineAccumulator {
+	t.Helper()
+	accs := make([]*TimelineAccumulator, len(parts))
+	for i, p := range parts {
+		accs[i] = NewTimelineAccumulator(n, weight)
+		accs[i].Add(p)
+	}
+	for len(accs) > 1 {
+		i := rng.Intn(len(accs))
+		j := rng.Intn(len(accs) - 1)
+		if j >= i {
+			j++
+		}
+		if err := accs[i].Merge(accs[j]); err != nil {
+			t.Fatal(err)
+		}
+		accs[j] = accs[len(accs)-1]
+		accs = accs[:len(accs)-1]
+	}
+	return accs[0]
+}
 
-	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 10; trial++ {
-		nparts := 1 + rng.Intn(5)
-		parts := make([]*CFAccumulator, nparts)
-		for i := range parts {
-			parts[i] = NewCFAccumulator(heap, contended, 2.5)
+// randomParts splits samples into 1..8 random, possibly empty, parts after
+// shuffling them.
+func randomParts(rng *rand.Rand, samples []pebs.Sample) [][]pebs.Sample {
+	shuffled := append([]pebs.Sample(nil), samples...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	parts := make([][]pebs.Sample, 1+rng.Intn(8))
+	for _, s := range shuffled {
+		p := rng.Intn(len(parts))
+		parts[p] = append(parts[p], s)
+	}
+	return parts
+}
+
+// TestTimelineMergeProperty is the one-pass timeline's contract. For
+// random sample sets over spans from a few cycles to ±1e300:
+//   - any chunking merged through any merge tree gives identical buckets;
+//   - there are at most n buckets, and at least n/2 unless the buckets are
+//     one cycle wide;
+//   - every sample lies inside the bucket that counts it, and the total
+//     mass is the sample count times the weight;
+//   - the geometry depends only on the minimum and maximum times.
+func TestTimelineMergeProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const weight = 2.5
+	spans := []struct{ origin, span float64 }{
+		{0, 5}, {0, 1000}, {1e9, 3e6}, {-5e5, 1e6}, {-7.5, 3}, {1e300, 1e290}, {-1e300, 2e300},
+	}
+	for trial := 0; trial < 200; trial++ {
+		sp := spans[trial%len(spans)]
+		n := []int{2, 3, 4, 7, 32}[rng.Intn(5)]
+		samples := make([]pebs.Sample, 1+rng.Intn(400))
+		for i := range samples {
+			samples[i] = mkSample(sp.origin+sp.span*rng.Float64(), rng.Intn(2) == 0, 100+1000*rng.Float64())
 		}
-		for _, s := range samples {
-			parts[rng.Intn(nparts)].Add([]pebs.Sample{s})
-		}
-		merged := NewCFAccumulator(heap, contended, 2.5)
-		for _, p := range rng.Perm(nparts) {
-			if err := merged.Merge(parts[p]); err != nil {
-				t.Fatal(err)
+		want := Timeline(samples, n, weight)
+
+		for k := 0; k < 4; k++ {
+			got := mergeTree(t, rng, randomParts(rng, samples), n, weight).Buckets()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: merged timeline differs from one accumulator\n got %+v\nwant %+v", trial, got, want)
 			}
 		}
-		if got := merged.Report(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: merged CF report differs from Analyze", trial)
+
+		if len(want) > n || (want[0].End-want[0].Start != 1 && 2*len(want) < n) {
+			t.Fatalf("trial %d: %d buckets of width %v for n=%d", trial, len(want), want[0].End-want[0].Start, n)
+		}
+		var mass float64
+		for _, b := range want {
+			mass += b.Samples
+		}
+		if mass != float64(len(samples))*weight {
+			t.Fatalf("trial %d: mass %v, want %v", trial, mass, float64(len(samples))*weight)
+		}
+		if math.Abs(sp.origin) < 1e12 {
+			counts := make([]float64, len(want))
+			for _, s := range samples {
+				for i, b := range want {
+					if s.Time >= b.Start && s.Time < b.End {
+						counts[i] += weight
+					}
+				}
+			}
+			for i, b := range want {
+				if counts[i] != b.Samples {
+					t.Fatalf("trial %d: bucket %d [%v, %v) holds %v samples by its edges, reports %v", trial, i, b.Start, b.End, counts[i], b.Samples)
+				}
+			}
+		}
+
+		// Same extremes, different interior: same edges.
+		minS, maxS := samples[0], samples[0]
+		for _, s := range samples {
+			if s.Time < minS.Time {
+				minS = s
+			}
+			if s.Time > maxS.Time {
+				maxS = s
+			}
+		}
+		other := []pebs.Sample{maxS, minS}
+		for i := 0; i < rng.Intn(50); i++ {
+			other = append(other, mkSample(minS.Time+(maxS.Time-minS.Time)*rng.Float64(), true, 300))
+		}
+		got := Timeline(other, n, weight)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d buckets from the same extremes, want %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Start != want[i].Start || got[i].End != want[i].End {
+				t.Fatalf("trial %d: bucket %d edges differ for the same extremes", trial, i)
+			}
 		}
 	}
 }
 
-// TestCFAccumulatorMergeRejectsMismatch: differing weight or channel sets
-// refuse to merge.
-func TestCFAccumulatorMergeRejectsMismatch(t *testing.T) {
-	_, acc, contended, heap := contentionTrace(t, 10, 1)
-	if err := acc.Merge(NewCFAccumulator(heap, contended, 99)); err == nil {
-		t.Error("weight mismatch accepted")
+// FuzzTimelineMerge: arbitrary times — non-finite ones included, which are
+// skipped — split into arbitrary chunks and merged in arbitrary order give
+// the same buckets as a single accumulator.
+func FuzzTimelineMerge(f *testing.F) {
+	times := func(ts ...float64) []byte {
+		var b []byte
+		for _, t := range ts {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t))
+		}
+		return b
 	}
-	if err := acc.Merge(NewCFAccumulator(heap, contended[:1], 2.5)); err == nil {
-		t.Error("channel set mismatch accepted")
-	}
+	f.Add(times(0, 1, 2, 100, 1e9), int64(1), uint8(32))
+	f.Add(times(-1e300, 1e300, 5, -5e-324, 5e-324), int64(2), uint8(4))
+	f.Add(times(math.NaN(), math.Inf(1), 3, -math.MaxFloat64, math.MaxFloat64), int64(3), uint8(1))
+	f.Add(times(1e15, 1e15+1, 1e15+4096, -0.0, 0), int64(4), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64, nb uint8) {
+		n := int(nb%64) + 1
+		var samples []pebs.Sample
+		for i := 0; i+8 <= len(data) && len(samples) < 1024; i += 8 {
+			ts := math.Float64frombits(binary.LittleEndian.Uint64(data[i:]))
+			samples = append(samples, mkSample(ts, i%16 == 0, float64(i)))
+		}
+		want := Timeline(samples, n, 1)
+		rng := rand.New(rand.NewSource(seed))
+		got := mergeTree(t, rng, randomParts(rng, samples), n, 1).Buckets()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("merged timeline differs from one accumulator\n got %+v\nwant %+v", got, want)
+		}
+		finite := 0
+		for _, s := range samples {
+			if !math.IsNaN(s.Time) && !math.IsInf(s.Time, 0) {
+				finite++
+			}
+		}
+		var mass float64
+		for _, b := range want {
+			mass += b.Samples
+		}
+		if mass != float64(finite) || len(want) > max(n, 2) {
+			t.Fatalf("%d buckets hold %v samples, want at most %d buckets holding %d", len(want), mass, max(n, 2), finite)
+		}
+	})
 }

@@ -74,30 +74,27 @@ func TestAnalyzeDeterministicAcrossDuplicates(t *testing.T) {
 	}
 }
 
-// TestTimelineAccumulatorMatchesTimeline pins the two-pass streaming
+// TestTimelineAccumulatorMatchesTimeline pins the one-pass streaming
 // timeline against the slice implementation, bit for bit, across
-// chunkings.
+// chunkings, with and without a pre-size from the exact bounds.
 func TestTimelineAccumulatorMatchesTimeline(t *testing.T) {
 	samples, _, _, _ := contentionTrace(t, 3000, 3)
 	const n, weight = 32, 2.5
 	want := Timeline(samples, n, weight)
+	minT, maxT := samples[0].Time, samples[len(samples)-1].Time
 
 	for _, chunk := range []int{1, 17, 512, len(samples)} {
-		acc := NewTimelineAccumulator(n, weight)
-		feed := func(fn func([]pebs.Sample)) {
-			for start := 0; start < len(samples); start += chunk {
-				end := start + chunk
-				if end > len(samples) {
-					end = len(samples)
-				}
-				fn(samples[start:end])
+		for _, presize := range []bool{false, true} {
+			acc := NewTimelineAccumulator(n, weight)
+			if presize {
+				acc.ObserveRange(minT, maxT, len(samples))
 			}
-		}
-		feed(acc.Observe)
-		feed(acc.Add)
-		got := acc.Buckets()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("chunk %d: streamed timeline differs", chunk)
+			for start := 0; start < len(samples); start += chunk {
+				acc.Add(samples[start:min(start+chunk, len(samples))])
+			}
+			if got := acc.Buckets(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("chunk %d presize=%v: streamed timeline differs", chunk, presize)
+			}
 		}
 	}
 }
@@ -110,10 +107,15 @@ func TestTimelineAccumulatorEdgeCases(t *testing.T) {
 	if got := NewTimelineAccumulator(0, 1).Buckets(); got != nil {
 		t.Fatalf("zero buckets: got %v, want nil", got)
 	}
-	// One sample: single bucket span fallback, same as Timeline.
+	// A pre-size alone holds no samples.
+	acc := NewTimelineAccumulator(8, 1)
+	acc.ObserveRange(0, 1000, 10)
+	if got := acc.Buckets(); got != nil {
+		t.Fatalf("pre-sized but empty: got %v, want nil", got)
+	}
+	// One sample: one bucket, same as Timeline.
 	one := []pebs.Sample{{Time: 42, Level: cache.MEM, SrcNode: 0, HomeNode: 1, Latency: 300}}
-	acc := NewTimelineAccumulator(4, 1)
-	acc.Observe(one)
+	acc = NewTimelineAccumulator(4, 1)
 	acc.Add(one)
 	if !reflect.DeepEqual(acc.Buckets(), Timeline(one, 4, 1)) {
 		t.Fatal("single-sample timeline differs")

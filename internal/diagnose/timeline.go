@@ -21,203 +21,248 @@ type Bucket struct {
 	AvgRemoteLatency float64
 }
 
-// Timeline buckets a run's samples into n equal time slices — the
-// profiler-style view of *when* remote pressure happened (AMG's solve phase
-// lights up while init stays dark). weight scales kept samples to true
-// counts. Timeline is the slice form of TimelineAccumulator and is defined
-// as exactly that: observe, add, finalize.
+// Timeline buckets a run's samples into at most n power-of-two-wide time
+// slices — the profiler-style view of *when* remote pressure happened
+// (AMG's solve phase lights up while init stays dark). weight scales kept
+// samples to true counts. Timeline is the slice form of
+// TimelineAccumulator and is defined as exactly that: add, finalize.
 func Timeline(samples []pebs.Sample, n int, weight float64) []Bucket {
 	acc := NewTimelineAccumulator(n, weight)
-	acc.Observe(samples)
 	acc.Add(samples)
 	return acc.Buckets()
 }
 
-// TimelineAccumulator is the two-pass streaming form of Timeline. Bucket
-// boundaries need the global time range, so a streaming caller feeds every
-// chunk to Observe first, then replays the recording through Add and reads
-// Buckets.
-//
-// Both passes are mergeable for shard-parallel analysis: pass-one range
-// state merges with Merge before any Add, and pass-two counting state
-// merges across Fork clones afterwards. Counts are integers and the
-// latency mass is an exact xsum total, so the result is a function of the
-// sample multiset alone — chunk order, shard boundaries and merge shape
-// never show in the output, and any streamed or sharded schedule is
-// bit-identical to Timeline over the whole slice. State stays bounded by
-// the bucket count.
-type TimelineAccumulator struct {
-	n          int
-	weight     float64
-	minT, maxT float64
-	total      int
+// maxWidthExp caps the bucket width at 2^1024 cycles. At that width every
+// finite time lands in bucket -1 or 0, so folding always terminates.
+const maxWidthExp = 1024
 
-	// Pass-two state, built when the bucket geometry freezes.
-	frozen  bool
-	start   float64 // frozen minT
-	span    float64
-	samples []int64
-	remote  []int64
-	lat     []xsum.Sum
+// TimelineAccumulator is the one-pass streaming form of Timeline. Bucket k
+// covers [k·w, (k+1)·w), where the width w = 2^e is the smallest power of
+// two (at least 1 cycle) for which floor(maxT/w) − floor(minT/w) < n. The
+// geometry grows with the data: when a sample falls outside the current
+// window, adjacent buckets fold in pairs (k → k>>1) and w doubles, so no
+// global time range is needed before the first sample is counted.
+//
+// Counts are integers and the latency mass is an exact xsum total, and
+// folding only adds them, so the buckets are a function of the sample
+// multiset alone — chunking, shard splits, worker count and merge order
+// never show in the output. State stays bounded by the bucket count.
+type TimelineAccumulator struct {
+	n      int
+	weight float64
+	e      int     // bucket width exponent: w = 2^e
+	inv    float64 // 2^-e
+	base   float64 // bucket index of slot 0; NaN until the first sample
+	// win holds the buckets [base, base+len); spare is the fold target,
+	// swapped in by regrid.
+	win, spare timelineWindow
 }
 
-// NewTimelineAccumulator prepares an n-bucket timeline. weight scales kept
-// samples to true counts; non-positive means 1.
+// timelineWindow is the exact state of a run of buckets: sample and
+// remote-sample counts and the remote latency mass, one slot per bucket.
+type timelineWindow struct {
+	samples, remote []int64
+	lat             []xsum.Sum
+}
+
+func newTimelineWindow(n int) timelineWindow {
+	return timelineWindow{samples: make([]int64, n), remote: make([]int64, n), lat: make([]xsum.Sum, n)}
+}
+
+// addTo folds slot i into slot j of dst.
+func (w *timelineWindow) addTo(i int, dst *timelineWindow, j int) {
+	dst.samples[j] += w.samples[i]
+	dst.remote[j] += w.remote[i]
+	dst.lat[j].Merge(&w.lat[i])
+}
+
+// moveTo folds slot i into slot j of dst and empties slot i.
+func (w *timelineWindow) moveTo(i int, dst *timelineWindow, j int) {
+	if dst.samples[j] == 0 {
+		dst.samples[j], dst.remote[j] = w.samples[i], w.remote[i]
+		dst.lat[j] = w.lat[i] // moves ownership of the sum's limbs
+	} else {
+		w.addTo(i, dst, j)
+	}
+	w.samples[i], w.remote[i], w.lat[i] = 0, 0, xsum.Sum{}
+}
+
+// NewTimelineAccumulator prepares a timeline of at most n buckets. weight
+// scales kept samples to true counts; non-positive means 1.
 func NewTimelineAccumulator(n int, weight float64) *TimelineAccumulator {
 	if weight <= 0 {
 		weight = 1
 	}
-	return &TimelineAccumulator{n: n, weight: weight, minT: math.Inf(1), maxT: math.Inf(-1)}
-}
-
-// Observe widens the time range to cover a chunk (pass one).
-func (t *TimelineAccumulator) Observe(samples []pebs.Sample) {
-	t.total += len(samples)
-	for i := range samples {
-		if samples[i].Time < t.minT {
-			t.minT = samples[i].Time
-		}
-		if samples[i].Time > t.maxT {
-			t.maxT = samples[i].Time
-		}
+	t := &TimelineAccumulator{n: n, weight: weight, inv: 1, base: math.NaN()}
+	if n > 0 {
+		// One spare slot when n == 1: a span straddling zero still needs
+		// two buckets at the widest width.
+		t.win = newTimelineWindow(max(n, 2))
 	}
+	return t
 }
 
-// ObserveRange folds an already-summarized chunk into pass one: n samples
-// spanning [minT, maxT]. A sharded pass one reduces each worker's portion
-// to exactly this triple.
+// floorDiv returns floor(x·inv) for inv a power of two, exactly. The
+// product is exact unless it underflows, and then only its sign matters:
+// a tiny negative x that rounds to -0 still belongs to bucket -1.
+func floorDiv(x, inv float64) float64 {
+	k := math.Floor(x * inv)
+	if k == 0 && x < 0 {
+		k = -1
+	}
+	return k
+}
+
+// ObserveRange pre-sizes the bucket geometry for samples spanning
+// [minT, maxT], so a caller that knows the bounds up front skips the
+// folds. Pre-sizing never changes the output when the
+// bounds are the samples' own; wider bounds can only widen the buckets.
+// n is the number of samples the range covers; n ≤ 0 is a no-op.
 func (t *TimelineAccumulator) ObserveRange(minT, maxT float64, n int) {
-	if n <= 0 {
+	if n <= 0 || t.n <= 0 || !(minT <= maxT) || math.IsInf(minT, 0) || math.IsInf(maxT, 0) {
 		return
 	}
-	t.total += n
-	if minT < t.minT {
-		t.minT = minT
-	}
-	if maxT > t.maxT {
-		t.maxT = maxT
-	}
+	t.cover(t.e, floorDiv(minT, t.inv), floorDiv(maxT, t.inv))
 }
 
-// freeze fixes the bucket geometry from the observed range and allocates
-// the counting state. After freeze, Observe/ObserveRange must not widen the
-// range any further (Merge enforces this across accumulators).
-func (t *TimelineAccumulator) freeze() {
-	if t.frozen {
-		return
-	}
-	maxT := t.maxT
-	if maxT <= t.minT {
-		maxT = t.minT + 1
-	}
-	t.start = t.minT
-	t.span = maxT - t.minT
-	t.samples = make([]int64, t.n)
-	t.remote = make([]int64, t.n)
-	t.lat = make([]xsum.Sum, t.n)
-	t.frozen = true
-}
-
-// Add buckets a chunk (pass two). The first Add freezes the bucket
-// geometry from everything observed so far. Samples outside the observed
-// range clamp to the first or last bucket instead of indexing out of
-// bounds — they can only appear when the recording changed between the
-// passes, and the pipeline reports that separately.
+// Add buckets a chunk of samples. Non-finite times have no bucket and are
+// skipped; the analysis pipeline rejects them before they get here.
 func (t *TimelineAccumulator) Add(samples []pebs.Sample) {
 	if t.n <= 0 {
 		return
 	}
-	if !t.frozen {
-		if t.total == 0 {
-			return
+	inv, base, n, w := t.inv, t.base, float64(t.n), t.win
+	for i := range samples {
+		s := &samples[i]
+		rel := floorDiv(s.Time, inv) - base
+		if !(rel >= 0 && rel < n) {
+			if math.IsNaN(s.Time) || math.IsInf(s.Time, 0) {
+				continue
+			}
+			k := floorDiv(s.Time, inv)
+			t.cover(t.e, k, k)
+			inv, base, w = t.inv, t.base, t.win
+			rel = floorDiv(s.Time, inv) - base
 		}
-		t.freeze()
-	}
-	for idx := range samples {
-		s := &samples[idx]
-		i := int(float64(t.n) * (s.Time - t.start) / t.span)
-		if i >= t.n {
-			i = t.n - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		t.samples[i]++
+		j := int(rel)
+		w.samples[j]++
 		if s.RemoteDRAM() {
-			t.remote[i]++
-			t.lat[i].Add(s.Latency)
+			w.remote[j]++
+			w.lat[j].Add(s.Latency)
 		}
 	}
 }
 
-// Fork returns an add-phase clone sharing this accumulator's frozen bucket
-// geometry but holding no counts: one per worker in a sharded pass two,
-// merged back with Merge. Fork freezes the parent's geometry, so all
-// observation must be complete. Forking before any sample was observed
-// returns nil (there is nothing to bucket).
-func (t *TimelineAccumulator) Fork() *TimelineAccumulator {
-	if t.n <= 0 || (!t.frozen && t.total == 0) {
-		return nil
+// occupied returns the first and last slots holding samples.
+func (t *TimelineAccumulator) occupied() (lo, hi int, ok bool) {
+	lo, hi = -1, -1
+	for i, n := range t.win.samples {
+		if n != 0 {
+			if lo < 0 {
+				lo = i
+			}
+			hi = i
+		}
 	}
-	t.freeze()
-	f := &TimelineAccumulator{
-		n: t.n, weight: t.weight,
-		minT: t.minT, maxT: t.maxT,
-		start: t.start, span: t.span,
-	}
-	f.samples = make([]int64, f.n)
-	f.remote = make([]int64, f.n)
-	f.lat = make([]xsum.Sum, f.n)
-	f.frozen = true
-	return f
+	return lo, hi, lo >= 0
 }
 
-// Merge folds o into t. Before freezing, it merges pass-one range state
-// (another shard's ObserveRange); after, it merges pass-two counts from a
-// Fork clone. Both accumulators must be in the same phase with the same
-// shape, and frozen ones must share their geometry — anything else is a
-// pipeline bug, reported as an error rather than silently misbucketed. o is
-// logically unchanged.
+// shiftFloor returns floor(k / 2^f) for an integer-valued k.
+func shiftFloor(k float64, f int) float64 {
+	if f == 0 {
+		return k
+	}
+	return floorDiv(k, math.Ldexp(1, -f))
+}
+
+// cover widens the geometry until the window holds both the occupied
+// buckets and the bucket indices [kmin, kmax], given at width 2^e: first
+// to at least width 2^e, then doubling while the span is n or more.
+func (t *TimelineAccumulator) cover(e int, kmin, kmax float64) {
+	f := 0
+	if e > t.e {
+		f = e - t.e
+	} else {
+		kmin, kmax = shiftFloor(kmin, t.e-e), shiftFloor(kmax, t.e-e)
+	}
+	if lo, hi, ok := t.occupied(); ok {
+		kmin = math.Min(kmin, shiftFloor(t.base+float64(lo), f))
+		kmax = math.Max(kmax, shiftFloor(t.base+float64(hi), f))
+	}
+	for kmax-kmin >= float64(t.n) && t.e+f < maxWidthExp {
+		kmin, kmax = math.Floor(kmin/2), math.Floor(kmax/2)
+		f++
+	}
+	if f == 0 && kmin >= t.base && kmax-t.base < float64(len(t.win.samples)) {
+		return // already covered
+	}
+	t.regrid(f, kmin)
+}
+
+// regrid folds the window by f doublings and rebases it to start at
+// bucket index base (at the new width). Every occupied bucket must land
+// inside the new window.
+func (t *TimelineAccumulator) regrid(f int, base float64) {
+	if lo, hi, ok := t.occupied(); ok {
+		if t.spare.samples == nil {
+			t.spare = newTimelineWindow(len(t.win.samples))
+		}
+		for i := lo; i <= hi; i++ {
+			if t.win.samples[i] != 0 {
+				t.win.moveTo(i, &t.spare, int(shiftFloor(t.base+float64(i), f)-base))
+			}
+		}
+		t.win, t.spare = t.spare, t.win
+	}
+	t.e += f
+	t.inv = math.Ldexp(1, -t.e)
+	t.base = base
+}
+
+// Merge folds o into t, first aligning both to the wider bucket width.
+// The result is exactly what one accumulator fed both sample sets would
+// hold. Both must have the same bucket count and weight — anything else is
+// a pipeline bug, reported as an error rather than silently misbucketed. o
+// is logically unchanged; an o without samples contributes nothing.
 func (t *TimelineAccumulator) Merge(o *TimelineAccumulator) error {
 	if t.n != o.n || t.weight != o.weight {
 		return fmt.Errorf("diagnose: cannot merge timelines with different shape (%d/%d buckets, weight %v/%v)", t.n, o.n, t.weight, o.weight)
 	}
-	if t.frozen != o.frozen {
-		return fmt.Errorf("diagnose: cannot merge timelines from different passes")
-	}
-	if !t.frozen {
-		t.ObserveRange(o.minT, o.maxT, o.total)
+	lo, hi, ok := o.occupied()
+	if !ok {
 		return nil
 	}
-	if t.start != o.start || t.span != o.span {
-		return fmt.Errorf("diagnose: cannot merge timelines with different bucket geometry")
-	}
-	t.total += o.total
-	for i := range t.samples {
-		t.samples[i] += o.samples[i]
-		t.remote[i] += o.remote[i]
-		t.lat[i].Merge(&o.lat[i])
+	t.cover(o.e, o.base+float64(lo), o.base+float64(hi))
+	f := t.e - o.e
+	for i := lo; i <= hi; i++ {
+		if o.win.samples[i] != 0 {
+			o.win.addTo(i, &t.win, int(shiftFloor(o.base+float64(i), f)-t.base))
+		}
 	}
 	return nil
 }
 
-// Buckets finalizes and returns the timeline (nil when no samples were
-// observed, matching Timeline). Weighted counts are count×weight products
-// and the average latency is the exact latency mass over the exact count,
-// so finalization is as order-blind as the accumulation.
+// Buckets finalizes and returns the timeline: one bucket per index from
+// floor(minT/w) to floor(maxT/w), between n/2 and n of them unless the
+// whole run spans fewer than n cycles (nil when no samples were added).
+// Weighted counts are count×weight products and the average latency is
+// the exact latency mass over the exact count, so finalization is as
+// order-blind as the accumulation.
 func (t *TimelineAccumulator) Buckets() []Bucket {
-	if t.total == 0 || t.n <= 0 {
+	lo, hi, ok := t.occupied()
+	if !ok {
 		return nil
 	}
-	t.freeze()
-	out := make([]Bucket, t.n)
+	out := make([]Bucket, hi-lo+1)
 	for i := range out {
-		out[i].Start = t.start + t.span*float64(i)/float64(t.n)
-		out[i].End = t.start + t.span*float64(i+1)/float64(t.n)
-		out[i].Samples = float64(t.samples[i]) * t.weight
-		out[i].RemoteSamples = float64(t.remote[i]) * t.weight
-		if t.remote[i] > 0 {
-			out[i].AvgRemoteLatency = t.lat[i].Value() / float64(t.remote[i])
+		j := lo + i
+		k := t.base + float64(j)
+		out[i].Start = math.Ldexp(k, t.e)
+		out[i].End = math.Ldexp(k+1, t.e)
+		out[i].Samples = float64(t.win.samples[j]) * t.weight
+		out[i].RemoteSamples = float64(t.win.remote[j]) * t.weight
+		if r := t.win.remote[j]; r > 0 {
+			out[i].AvgRemoteLatency = t.win.lat[j].Value() / float64(r)
 		}
 	}
 	return out

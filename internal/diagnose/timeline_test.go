@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"math"
 	"testing"
 	"unicode/utf8"
 
@@ -17,45 +18,56 @@ func mkSample(t float64, remote bool, lat float64) pebs.Sample {
 }
 
 func TestTimelineBuckets(t *testing.T) {
-	// Remote pressure only in the second half of the run.
+	// Remote pressure only in the second half of the run. 128 cycles over 4
+	// buckets gives width 32: the smallest power of two for which
+	// floor(127/w) - floor(0/w) < 4.
 	var samples []pebs.Sample
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 64; i++ {
 		samples = append(samples, mkSample(float64(i), false, 200))
 	}
-	for i := 50; i < 100; i++ {
+	for i := 64; i < 128; i++ {
 		samples = append(samples, mkSample(float64(i), true, 900))
 	}
 	buckets := Timeline(samples, 4, 1)
 	if len(buckets) != 4 {
 		t.Fatalf("%d buckets", len(buckets))
 	}
+	for i, b := range buckets {
+		if b.Start != float64(32*i) || b.End != float64(32*(i+1)) {
+			t.Errorf("bucket %d spans [%v, %v), want [%d, %d)", i, b.Start, b.End, 32*i, 32*(i+1))
+		}
+	}
 	if buckets[0].RemoteSamples != 0 || buckets[1].RemoteSamples != 0 {
 		t.Errorf("first half should have no remote samples: %+v", buckets[:2])
 	}
-	if buckets[2].RemoteSamples == 0 || buckets[3].RemoteSamples == 0 {
+	if buckets[2].RemoteSamples != 32 || buckets[3].RemoteSamples != 32 {
 		t.Errorf("second half should be remote: %+v", buckets[2:])
 	}
-	if buckets[3].AvgRemoteLatency < 890 || buckets[3].AvgRemoteLatency > 910 {
-		t.Errorf("remote latency %f, want ~900", buckets[3].AvgRemoteLatency)
+	if buckets[3].AvgRemoteLatency != 900 {
+		t.Errorf("remote latency %f, want 900", buckets[3].AvgRemoteLatency)
 	}
 	var total float64
 	for _, b := range buckets {
 		total += b.Samples
 	}
-	if total != 100 {
-		t.Errorf("buckets hold %f samples, want 100", total)
+	if total != 128 {
+		t.Errorf("buckets hold %f samples, want 128", total)
 	}
-	// Contiguous, ordered slices.
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i].Start != buckets[i-1].End {
-			t.Errorf("bucket %d not contiguous", i)
-		}
+
+	// One cycle past 127 forces the next width: 64-cycle buckets over
+	// [0, 192), three of them.
+	buckets = Timeline(append(samples, mkSample(128, true, 900)), 4, 1)
+	if len(buckets) != 3 || buckets[0].End != 64 || buckets[2].Start != 128 || buckets[2].End != 192 {
+		t.Errorf("after one more cycle: %+v", buckets)
 	}
 }
 
 func TestTimelineWeight(t *testing.T) {
 	samples := []pebs.Sample{mkSample(0, true, 500), mkSample(1, true, 500)}
 	buckets := Timeline(samples, 1, 10)
+	if len(buckets) != 1 || buckets[0].Start != 0 || buckets[0].End != 2 {
+		t.Fatalf("one 2-cycle bucket expected: %+v", buckets)
+	}
 	if buckets[0].Samples != 20 || buckets[0].RemoteSamples != 20 {
 		t.Errorf("weighted counts: %+v", buckets[0])
 	}
@@ -71,17 +83,30 @@ func TestTimelineEdgeCases(t *testing.T) {
 	if Timeline([]pebs.Sample{mkSample(5, true, 100)}, 0, 1) != nil {
 		t.Error("zero buckets should give nil")
 	}
-	// Single instant: still a valid bucket.
+	// Single instant: one 1-cycle bucket around it.
 	b := Timeline([]pebs.Sample{mkSample(5, true, 100)}, 3, 1)
-	if len(b) != 3 {
-		t.Fatalf("%d buckets", len(b))
+	if len(b) != 1 || b[0].Start != 5 || b[0].End != 6 || b[0].Samples != 1 {
+		t.Fatalf("single instant: %+v", b)
 	}
-	var total float64
-	for _, x := range b {
-		total += x.Samples
+	// Negative times bucket by floor: [-3, -1] at width 1 is three buckets.
+	b = Timeline([]pebs.Sample{mkSample(-3, true, 100), mkSample(-1, true, 100)}, 4, 1)
+	if len(b) != 3 || b[0].Start != -3 || b[2].End != 0 {
+		t.Fatalf("negative span: %+v", b)
 	}
-	if total != 1 {
-		t.Errorf("sample lost: %f", total)
+	// Non-finite times have no bucket.
+	b = Timeline([]pebs.Sample{mkSample(math.NaN(), true, 100), mkSample(math.Inf(1), true, 100), mkSample(7, true, 100)}, 4, 1)
+	if len(b) != 1 || b[0].Samples != 1 {
+		t.Fatalf("non-finite times: %+v", b)
+	}
+	// Times at the ends of the float64 range fit without overflow.
+	b = Timeline([]pebs.Sample{mkSample(-math.MaxFloat64, true, 100), mkSample(math.MaxFloat64, true, 100)}, 2, 1)
+	if len(b) != 2 || b[0].Samples != 1 || b[1].Samples != 1 {
+		t.Fatalf("full float64 range: %+v", b)
+	}
+	// n = 1 still covers a span that straddles zero at the widest width.
+	b = Timeline([]pebs.Sample{mkSample(-1, true, 100), mkSample(1, true, 100)}, 1, 1)
+	if len(b) != 2 || b[0].Samples+b[1].Samples != 2 {
+		t.Fatalf("n=1 across zero: %+v", b)
 	}
 }
 

@@ -1,7 +1,6 @@
 package profiledata
 
 import (
-	"bufio"
 	"bytes"
 	"reflect"
 	"testing"
@@ -38,8 +37,8 @@ func FuzzReadSamples(f *testing.F) {
 			f.Add(bin.Bytes()[:bin.Len()-indexTailLen]) // footerless tail
 		}
 	}
-	// Footer-version seeds: the legacy DRBWIDX1 form, and targeted bit
-	// flips in the DRBWIDX2 checksum region (damaged sums must read as
+	// Footer seeds: the retired checksum-less layout (legacyV1Footer), and
+	// targeted bit flips in the checksum region (damaged sums must read as
 	// checksum errors or ErrNoIndex, never as silently different samples).
 	{
 		var bin bytes.Buffer
@@ -51,16 +50,7 @@ func FuzzReadSamples(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		var v1 bytes.Buffer
-		v1.Write(data[:idx.DataEnd+1])
-		bw := bufio.NewWriter(&v1)
-		if err := writeBlockIndexVersioned(bw, idx.Entries, false); err != nil {
-			f.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(v1.Bytes())
+		f.Add(legacyV1Footer(f, data))
 		for _, off := range []int{len(data) - indexTailLen - 1, len(data) - indexTailLen - 9, int(idx.DataEnd) + 2} {
 			flipped := append([]byte(nil), data...)
 			flipped[off] ^= 1
@@ -69,8 +59,8 @@ func FuzzReadSamples(f *testing.F) {
 		// Lying-footer seeds: structurally valid DRBWIDX2 footers whose
 		// MinTime/MaxTime claims disagree with the decoded samples. The
 		// entry times are not covered by the block checksums, so these open
-		// cleanly here; the single-pass analysis upstream must catch the
-		// disagreement, and nothing at this layer may panic.
+		// cleanly here; the analysis upstream must catch the disagreement,
+		// and nothing at this layer may panic.
 		forge := func(mutate func([]IndexEntry)) {
 			entries := append([]IndexEntry(nil), idx.Entries...)
 			mutate(entries)

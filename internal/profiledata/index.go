@@ -10,8 +10,7 @@ package profiledata
 // readers — they stop at the terminator and never reach it — and absent
 // from CSV and compressed recordings:
 //
-//	footer:  payload, uint64 LE payload length, magic "DRBWIDX1" or
-//	         "DRBWIDX2"
+//	footer:  payload, uint64 LE payload length, magic "DRBWIDX2"
 //	payload: uvarint entry count, then per entry:
 //	         uvarint offset delta from the previous entry (first absolute),
 //	         uvarint sample count,
@@ -19,7 +18,7 @@ package profiledata
 //	         uvarint decoder prevAddr,
 //	         zigzag varint decoder prevLat,
 //	         min time float64 LE, max time float64 LE,
-//	         (DRBWIDX2 only) block payload checksum uint64 LE
+//	         block payload checksum uint64 LE
 //
 // The seed state is what makes blocks independently decodable: v3 columns
 // delta-encode across block boundaries, so a reader seeked to block i can
@@ -28,18 +27,15 @@ package profiledata
 // samples a front-to-back read would produce, which is the foundation of
 // the shard-parallel analysis path.
 //
-// DRBWIDX2 appends one fixed-width field per entry: a CRC-64 (ECMA) of the
-// block's payload bytes, computed at encode time. It buys two things: range
-// readers verify each block they decode against it, and the whole
-// recording's content can be fingerprinted from the index alone — header
-// fields plus per-block counts and checksums — in O(index bytes) instead of
-// rehashing the file (see FileFingerprint). The writer always emits
-// DRBWIDX2 now; this reader accepts both versions (a DRBWIDX1 footer simply
-// has no checksums to verify or fingerprint from), and readers that predate
-// DRBWIDX2 see an unknown trailing magic, report ErrNoIndex, and fall back
-// to the streaming path — correct results, just no block fan-out. Streaming
-// readers themselves stop at the body terminator and never parse either
-// footer.
+// Each entry ends in a CRC-64 (ECMA) of the block's payload bytes, computed
+// at encode time. It buys two things: range readers verify each block they
+// decode against it, and the whole recording's content can be fingerprinted
+// from the index alone — header fields plus per-block counts and checksums
+// — in O(index bytes) instead of rehashing the file (see FileFingerprint).
+// Any other trailing magic reads as ErrNoIndex: the recording still
+// analyzes through the streaming reader, which stops at the body
+// terminator and never parses a footer — correct results, just no block
+// fan-out.
 
 import (
 	"bufio"
@@ -56,24 +52,18 @@ import (
 	"drbw/internal/cache"
 )
 
-// indexMagic closes every DRBWIDX1 recording (no per-block checksums).
-// Distinct from binaryMagic so a truncated file can never present a stale
-// footer as a header or vice versa.
-const indexMagic = "DRBWIDX1"
-
-// indexMagicV2 closes every checksummed recording — what the writer emits.
-// Same length as indexMagic, so one trailer read resolves either version.
-const indexMagicV2 = "DRBWIDX2"
+// indexMagic closes every indexed recording. Distinct from binaryMagic so
+// a truncated file can never present a stale footer as a header or vice
+// versa.
+const indexMagic = "DRBWIDX2"
 
 // indexTailLen is the fixed-size trailer: uint64 payload length + magic.
 const indexTailLen = 8 + len(indexMagic)
 
-// minIndexEntryLen is the narrowest possible encoded DRBWIDX1 entry (five
-// one-byte varints plus two float64 times), bounding the entry count a
-// footer can plausibly claim; DRBWIDX2 entries add a fixed 8-byte checksum.
-const minIndexEntryLen = 5 + 16
-
-const minIndexEntryLenV2 = minIndexEntryLen + 8
+// minIndexEntryLen is the narrowest possible encoded entry (five one-byte
+// varints, two float64 times and the checksum), bounding the entry count a
+// footer can plausibly claim.
+const minIndexEntryLen = 5 + 16 + 8
 
 // ErrNoIndex reports that a recording carries no block index footer — it is
 // CSV, compressed, written without BinaryOptions.Index, or truncated before
@@ -93,9 +83,7 @@ type IndexEntry struct {
 	PrevTime int64
 	PrevAddr uint64
 	PrevLat  int64
-	// Sum is the CRC-64 (ECMA) of the block's payload bytes. Only
-	// meaningful when the index carries checksums (BlockIndex.HasSums);
-	// zero otherwise.
+	// Sum is the CRC-64 (ECMA) of the block's payload bytes.
 	Sum uint64
 }
 
@@ -105,31 +93,22 @@ type BlockIndex struct {
 	// DataEnd is the file offset of the body terminator — one past the last
 	// block's final byte.
 	DataEnd int64
-	// HasSums reports a DRBWIDX2 footer: every entry carries a payload
-	// checksum, range reads verify against it, and the recording can be
-	// fingerprinted from the index alone.
-	HasSums bool
 }
 
 // blockSumTable is the CRC-64 polynomial the per-block checksums use.
 var blockSumTable = crc64.MakeTable(crc64.ECMA)
 
-// blockChecksum is the DRBWIDX2 per-block payload checksum.
+// blockChecksum is the per-block payload checksum.
 func blockChecksum(payload []byte) uint64 {
 	return crc64.Checksum(payload, blockSumTable)
 }
 
-// writeBlockIndex appends the checksummed (DRBWIDX2) index footer.
-func writeBlockIndex(w *bufio.Writer, entries []IndexEntry) error {
-	return writeBlockIndexVersioned(w, entries, true)
-}
-
-// WriteBlockIndex appends a checksummed (DRBWIDX2) block index footer to w
-// — the writing half of ReadBlockIndex, for tools and tests that rebuild or
-// rewrite footers on an existing body. WriteSamplesBinary emits the same
-// footer for every indexed recording it writes; entries it did not compute
-// itself are the caller's responsibility to keep truthful (the single-pass
-// analysis cross-checks them against the decoded samples).
+// WriteBlockIndex appends a block index footer to w — the writing half of
+// ReadBlockIndex, for tools and tests that rebuild or rewrite footers on an
+// existing body. WriteSamplesBinary emits the same footer for every indexed
+// recording it writes; entries it did not compute itself are the caller's
+// responsibility to keep truthful (the analysis cross-checks them against
+// the decoded samples).
 func WriteBlockIndex(w io.Writer, entries []IndexEntry) error {
 	bw := bufio.NewWriter(w)
 	if err := writeBlockIndex(bw, entries); err != nil {
@@ -141,9 +120,8 @@ func WriteBlockIndex(w io.Writer, entries []IndexEntry) error {
 	return nil
 }
 
-// writeBlockIndexVersioned writes either footer version. The DRBWIDX1 form
-// exists for compatibility tests — the writer proper always emits DRBWIDX2.
-func writeBlockIndexVersioned(w *bufio.Writer, entries []IndexEntry, withSums bool) error {
+// writeBlockIndex appends the index footer.
+func writeBlockIndex(w *bufio.Writer, entries []IndexEntry) error {
 	var payload []byte
 	var v8 [binary.MaxVarintLen64]byte
 	putUvarint := func(u uint64) {
@@ -166,22 +144,14 @@ func writeBlockIndexVersioned(w *bufio.Writer, entries []IndexEntry, withSums bo
 		putUvarint(zigzag(e.PrevLat))
 		putFloat(e.MinTime)
 		putFloat(e.MaxTime)
-		if withSums {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], e.Sum)
-			payload = append(payload, b[:]...)
-		}
+		payload = binary.LittleEndian.AppendUint64(payload, e.Sum)
 	}
 	if _, err := w.Write(payload); err != nil {
 		return fmt.Errorf("profiledata: writing block index: %w", err)
 	}
-	magic := indexMagic
-	if withSums {
-		magic = indexMagicV2
-	}
 	var tail [indexTailLen]byte
 	binary.LittleEndian.PutUint64(tail[:8], uint64(len(payload)))
-	copy(tail[8:], magic)
+	copy(tail[8:], indexMagic)
 	if _, err := w.Write(tail[:]); err != nil {
 		return fmt.Errorf("profiledata: writing block index: %w", err)
 	}
@@ -204,14 +174,7 @@ func ReadBlockIndex(r io.ReaderAt, size int64) (*BlockIndex, error) {
 	if _, err := r.ReadAt(tail[:], size-int64(indexTailLen)); err != nil {
 		return nil, fmt.Errorf("profiledata: reading index trailer: %w", corruptEOF(err))
 	}
-	hasSums := false
-	entryLen := int64(minIndexEntryLen)
-	switch string(tail[8:]) {
-	case indexMagic:
-	case indexMagicV2:
-		hasSums = true
-		entryLen = minIndexEntryLenV2
-	default:
+	if string(tail[8:]) != indexMagic {
 		return nil, ErrNoIndex
 	}
 	plen := binary.LittleEndian.Uint64(tail[:8])
@@ -229,10 +192,10 @@ func ReadBlockIndex(r io.ReaderAt, size int64) (*BlockIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("profiledata: corrupt block index: %w", err)
 	}
-	if n > plen/uint64(entryLen) {
+	if n > plen/minIndexEntryLen {
 		return nil, fmt.Errorf("profiledata: block index claims %d entries in %d bytes", n, plen)
 	}
-	idx := &BlockIndex{Entries: make([]IndexEntry, 0, n), DataEnd: dataEnd, HasSums: hasSums}
+	idx := &BlockIndex{Entries: make([]IndexEntry, 0, n), DataEnd: dataEnd}
 	prevOff := int64(0)
 	for i := uint64(0); i < n; i++ {
 		var e IndexEntry
@@ -253,10 +216,8 @@ func ReadBlockIndex(r io.ReaderAt, size int64) (*BlockIndex, error) {
 		if e.MaxTime, err = p.float(); err != nil {
 			return nil, fmt.Errorf("profiledata: corrupt block index: %w", err)
 		}
-		if hasSums {
-			if e.Sum, err = p.fixed64(); err != nil {
-				return nil, fmt.Errorf("profiledata: corrupt block index: %w", err)
-			}
+		if e.Sum, err = p.fixed64(); err != nil {
+			return nil, fmt.Errorf("profiledata: corrupt block index: %w", err)
 		}
 		if e.Offset <= prevOff && i > 0 || e.Offset >= dataEnd || e.Offset <= int64(len(binaryMagic)) {
 			return nil, fmt.Errorf("profiledata: block index entry %d has offset %d outside (%d, %d)", i, e.Offset, prevOff, dataEnd)
@@ -288,8 +249,7 @@ func ReadBlockIndex(r io.ReaderAt, size int64) (*BlockIndex, error) {
 	return idx, nil
 }
 
-// fixed64 reads a fixed-width little-endian uint64 (the DRBWIDX2 checksum
-// field — varints would cost more than they save on hash-distributed bits).
+// fixed64 reads a fixed-width little-endian uint64 (the checksum field — varints would cost more than they save on hash-distributed bits).
 func (p *payloadReader) fixed64() (uint64, error) {
 	if p.pos+8 > len(p.buf) {
 		return 0, errCorrupt
@@ -383,14 +343,10 @@ func (it *IndexedTrace) Blocks() int { return len(it.idx.Entries) }
 // Entry returns the i-th block's index entry.
 func (it *IndexedTrace) Entry(i int) IndexEntry { return it.idx.Entries[i] }
 
-// HasChecksums reports a DRBWIDX2 index: per-block payload checksums are
-// present, range reads verify them, and Fingerprint works from the index.
-func (it *IndexedTrace) HasChecksums() bool { return it.idx.HasSums }
-
 // TimeBounds returns the recording's global sample time range as recorded
 // by the block index, in O(blocks) — no sample ever decodes. ok is false
-// for an empty recording. The range is the index's claim; the single-pass
-// analysis verifies it against the decoded samples.
+// for an empty recording. The range is the index's claim; the analysis
+// verifies it against the decoded samples.
 func (it *IndexedTrace) TimeBounds() (minT, maxT float64, ok bool) {
 	entries := it.idx.Entries
 	if len(entries) == 0 {
@@ -453,14 +409,12 @@ func (it *IndexedTrace) RangeReader(from, to int, bufs *Buffers) (*SampleReader,
 		total: total, avail: end - start,
 		limited: true, blocksLeft: to - from,
 	}
-	if it.idx.HasSums {
-		// Each decoded block is verified against its recorded checksum, so
-		// silent payload corruption surfaces as an error instead of as
-		// structurally-valid garbage samples.
-		sr.sums = make([]uint64, 0, to-from)
-		for i := from; i < to; i++ {
-			sr.sums = append(sr.sums, it.idx.Entries[i].Sum)
-		}
+	// Each decoded block is verified against its recorded checksum, so
+	// silent payload corruption surfaces as an error instead of as
+	// structurally-valid garbage samples.
+	sr.sums = make([]uint64, 0, to-from)
+	for i := from; i < to; i++ {
+		sr.sums = append(sr.sums, it.idx.Entries[i].Sum)
 	}
 	sr.dec = blockDecoder{prevTime: e.PrevTime, prevAddr: e.PrevAddr, prevLat: e.PrevLat, levels: it.levels}
 	if size := end - start; size >= prefetchMinBytes && runtime.GOMAXPROCS(0) > 1 {

@@ -11,9 +11,15 @@ import (
 	"slices"
 	"strconv"
 
+	"drbw/internal/obs"
 	"drbw/internal/pebs"
 	"drbw/internal/topology"
 )
+
+// mBlocksDecoded counts blocks decoded by every reader: binary blocks, and
+// csvBlockSize-sample chunks of CSV. An analysis that reads each block once
+// advances it by exactly the recording's block count.
+var mBlocksDecoded = obs.Default.Counter("profiledata.blocks_decoded")
 
 // Buffers is reusable decode scratch. A batch pipeline that opens many
 // recordings hands the same Buffers to each successive SampleReader, so the
@@ -48,8 +54,8 @@ type SampleReader struct {
 	// reader stops after blocksLeft blocks instead of at a terminator.
 	limited    bool
 	blocksLeft int
-	// sums, when non-nil, holds the range's per-block payload checksums
-	// (DRBWIDX2 indexes); every block read is verified against its entry.
+	// sums, when non-nil, holds the range's per-block payload checksums;
+	// every block read is verified against its entry.
 	sums []uint64
 	// ra, when non-nil, is the background read-ahead feeding body; stopped
 	// on every terminal path and swept by IndexedTrace.Close.
@@ -175,6 +181,7 @@ func (sr *SampleReader) nextBinary() ([]pebs.Sample, error) {
 		sr.stopPrefetch()
 		return nil, err
 	}
+	mBlocksDecoded.Inc()
 	return out, nil
 }
 
@@ -299,6 +306,7 @@ func (sr *SampleReader) appendRemaining(dst []pebs.Sample) ([]pebs.Sample, error
 			sr.stopPrefetch()
 			return dst[:n], err
 		}
+		mBlocksDecoded.Inc()
 	}
 }
 
@@ -337,6 +345,7 @@ func (sr *SampleReader) nextCSV() ([]pebs.Sample, error) {
 			if len(out) == 0 {
 				return nil, io.EOF
 			}
+			mBlocksDecoded.Inc()
 			return out, nil
 		}
 		if err != nil {
@@ -352,6 +361,7 @@ func (sr *SampleReader) nextCSV() ([]pebs.Sample, error) {
 		out = append(out, s)
 		sr.line++
 	}
+	mBlocksDecoded.Inc()
 	return out, nil
 }
 

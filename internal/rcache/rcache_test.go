@@ -32,6 +32,27 @@ func TestKeyOfBoundaries(t *testing.T) {
 	}
 }
 
+// TestSchemaBumpOrphansOldEntries: callers fold SchemaVersion into every
+// key, so an entry a previous schema stored — a Report whose Timeline had
+// the old bucket geometry — is a miss under the current one, on disk as in
+// memory.
+func TestSchemaBumpOrphansOldEntries(t *testing.T) {
+	dir := t.TempDir()
+	old := open(t, Options{Dir: dir})
+	old.Put(KeyOf("drbw.rcache/1", "analyze", "trace"), []byte("old report"))
+
+	c := open(t, Options{Dir: dir})
+	if SchemaVersion == "drbw.rcache/1" {
+		t.Fatal("schema version was not bumped")
+	}
+	if v, ok := c.Get(KeyOf(SchemaVersion, "analyze", "trace")); ok {
+		t.Fatalf("entry from the old schema served: %q", v)
+	}
+	if _, ok := c.Get(KeyOf("drbw.rcache/1", "analyze", "trace")); !ok {
+		t.Fatal("the old entry itself should still be on disk")
+	}
+}
+
 func TestMemoryOnlyPutGet(t *testing.T) {
 	c := open(t, Options{})
 	k := KeyOf("k")

@@ -239,9 +239,8 @@ func (t *Tool) AnalyzeTrace(td *TraceData) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.SrcNode < 0 || int(s.SrcNode) >= t.machine.Nodes() ||
-			s.HomeNode < 0 || int(s.HomeNode) >= t.machine.Nodes() {
-			return nil, fmt.Errorf("drbw: sample references node outside the %d-node machine", t.machine.Nodes())
+		if err := t.validateSample(&s); err != nil {
+			return nil, err
 		}
 		samples = append(samples, s)
 	}

@@ -40,8 +40,10 @@ type Report struct {
 	// between a recording and its report.
 	Samples int64
 
-	// Timeline slices the run into equal time windows and tracks remote
-	// pressure per window — when the contention happened, not just whether.
+	// Timeline slices the run into time windows of one power-of-two
+	// cycle width — at most 32 of them and at least 16, unless the whole
+	// run spans fewer than 32 cycles — and tracks remote pressure per
+	// window: when the contention happened, not just whether.
 	Timeline []TimelinePoint
 
 	// Ground truth, present when the report came from Evaluate.

@@ -37,12 +37,13 @@
 #                     than this many times faster than the serial exhaustive
 #                     search; skipped with a warning on hosts with fewer
 #                     than 4 cores, where the parallel waves degenerate
-#   MIN_SINGLEPASS_SPEEDUP when set, fail if the fused single-pass analysis
-#                     of the 1M-sample indexed recording is less than this
-#                     many times faster than the retained two-pass path
-#                     (BenchmarkAnalyzeSinglePass twopass/singlepass ns
-#                     ratio; both variants run in one process, so the ratio
-#                     is core-count independent and never skipped)
+#   MAX_DECODES_PER_BLOCK when set, fail if the analysis of the 1M-sample
+#                     indexed recording decodes more blocks per iteration
+#                     than this multiple of the recording's block count
+#                     (BenchmarkAnalyzeSinglePass decodes/block, from the
+#                     profiledata.blocks_decoded counter; a count, so
+#                     core-count independent and never skipped — 1 fails
+#                     the moment any route re-reads a block)
 #   LEDGER_OUT        when set, also run a quick drbw-bench pass with
 #                     -ledger here, stamping the bench host with a
 #                     machine-readable drbw.ledger/1 audit record (config
@@ -53,8 +54,8 @@
 # the offline trace pipeline: a full contended engine run, the batch
 # evaluation sweep built on it, the raw cache-hierarchy access loop, trace
 # generation, the CSV-vs-binary trace decode pair, the slice-vs-stream
-# analysis of a 1M-sample recording, and the fused single-pass vs two-pass
-# analysis pair. The committed BENCH_engine.json records the trajectory;
+# analysis of a 1M-sample recording, and the one-sweep analysis with its
+# decodes-per-block count. The committed BENCH_engine.json records the trajectory;
 # the "baseline" block holds the pre-fast-path numbers the 2x acceptance
 # bar is measured against. Every speedup block carries the host's core
 # count and a "gated" flag saying whether its gate enforces on that host
@@ -84,6 +85,7 @@ awk -v out="$out" -v cores="$cores" '
         if ($i == "allocs/op")  allocs = $(i-1)
         if ($i == "csv-size-x") sizeratio = $(i-1)
         if ($i == "placement-speedup-x") placement = $(i-1)
+        if ($i == "decodes/block") decodes = $(i-1)
     }
     names[++n] = name
     nsv[name] = ns; bv[name] = bytes; av[name] = allocs
@@ -175,18 +177,13 @@ END {
         printf ", \"warm_speedup\": %.2f", cc / cw >> out
     }
     printf "},\n" >> out
-    # singlepass: the fused single-pass analysis of the indexed 1M-sample
-    # recording against the retained two-pass path. Both variants run in
-    # one process, so the ratio is core-count independent and always
-    # gated; the reports are bit-identical.
+    # singlepass: the one-sweep analysis of the indexed 1M-sample recording
+    # and the blocks it decodes per block of the recording. A count, so
+    # core-count independent and always gated.
     f1 = nsv["BenchmarkAnalyzeSinglePass/singlepass"]
-    f2 = nsv["BenchmarkAnalyzeSinglePass/twopass"]
     printf "  \"singlepass\": {\"cores\": %d, \"gated\": true", cores >> out
     if (f1 != "") { printf ", \"singlepass_ns\": %s", f1 >> out }
-    if (f2 != "") { printf ", \"twopass_ns\": %s", f2 >> out }
-    if (f1 != "" && f2 != "" && f1 + 0 > 0) {
-        printf ", \"speedup\": %.2f", f2 / f1 >> out
-    }
+    if (decodes != "") { printf ", \"decodes_per_block\": %s", decodes >> out }
     printf "},\n" >> out
     printf "  \"benchmarks\": {\n" >> out
     for (i = 1; i <= n; i++) {
@@ -318,23 +315,21 @@ if [ -n "${MIN_CACHE_SPEEDUP:-}" ]; then
     echo "cache gate: warm hit ${cspeed}x >= ${MIN_CACHE_SPEEDUP}x faster than cold"
 fi
 
-if [ -n "${MIN_SINGLEPASS_SPEEDUP:-}" ]; then
-    # No core-count skip: both variants run in the same process on the same
-    # host, so the ratio is meaningful on any core count.
-    fspeed=$(awk '
-    /^BenchmarkAnalyzeSinglePass\/singlepass/ { for (i = 2; i <= NF; i++) if ($i == "ns/op") f = $(i-1) }
-    /^BenchmarkAnalyzeSinglePass\/twopass/    { for (i = 2; i <= NF; i++) if ($i == "ns/op") t = $(i-1) }
-    END { if (f != "" && t != "" && f + 0 > 0) printf "%.2f", t / f }
+if [ -n "${MAX_DECODES_PER_BLOCK:-}" ]; then
+    # No core-count skip: the decode count does not depend on the host.
+    decodes=$(awk '
+    /^BenchmarkAnalyzeSinglePass\/singlepass/ { for (i = 2; i <= NF; i++) if ($i == "decodes/block") d = $(i-1) }
+    END { if (d != "") print d }
     ' "$raw")
-    if [ -z "$fspeed" ]; then
-        echo "singlepass gate: BenchmarkAnalyzeSinglePass singlepass/twopass not found in output" >&2
+    if [ -z "$decodes" ]; then
+        echo "decode gate: BenchmarkAnalyzeSinglePass decodes/block not found in output" >&2
         exit 1
     fi
-    if awk -v s="$fspeed" -v min="$MIN_SINGLEPASS_SPEEDUP" 'BEGIN { exit !(s < min) }'; then
-        echo "singlepass gate: fused analysis ${fspeed}x faster than two-pass, below minimum ${MIN_SINGLEPASS_SPEEDUP}x" >&2
+    if awk -v d="$decodes" -v max="$MAX_DECODES_PER_BLOCK" 'BEGIN { exit !(d > max) }'; then
+        echo "decode gate: analysis decodes ${decodes} times per block, above maximum ${MAX_DECODES_PER_BLOCK}" >&2
         exit 1
     fi
-    echo "singlepass gate: fused analysis ${fspeed}x >= ${MIN_SINGLEPASS_SPEEDUP}x faster than two-pass"
+    echo "decode gate: analysis decodes ${decodes} <= ${MAX_DECODES_PER_BLOCK} times per block"
 fi
 
 if [ -n "${MIN_OPTIMIZER_SPEEDUP:-}" ]; then

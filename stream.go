@@ -3,6 +3,7 @@ package drbw
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -77,20 +78,6 @@ type TracePaths struct {
 	Objects string
 }
 
-// traceScratch is one worker's reusable analysis state: decode buffers for
-// the block reader plus the feature accumulator. Reused across files, it
-// keeps a batch's allocation count proportional to the worker count, not
-// the trace count or length.
-type traceScratch struct {
-	bufs profiledata.Buffers
-	acc  *features.Accumulator
-}
-
-// testHookBetweenPasses, when non-nil, runs between the serial path's two
-// streaming passes. Tests use it to mutate the recording mid-analysis and
-// prove the pass-two consistency check fires.
-var testHookBetweenPasses func()
-
 // timeRange restricts an analysis to samples with Time in [lo, hi]
 // (inclusive). The zero value keeps everything.
 type timeRange struct {
@@ -120,15 +107,15 @@ func (tr timeRange) skipBlock(e profiledata.IndexEntry) bool {
 }
 
 // AnalyzeTraceFile runs the AnalyzeTrace pipeline directly off a recording
-// on disk. When the samples file carries a block index (binary recordings
-// written by this tool), the blocks are fanned across the shared worker
-// pool: each worker streams its own block range with its own decode
-// scratch into mergeable accumulators, and the merged result is
-// bit-identical to the serial analysis at any worker count. Unindexed
-// recordings (CSV, compressed, foreign) stream serially block by block;
-// either way peak memory is bounded by block size × workers, never by the
-// recording length, and the report is bit-identical to LoadTrace +
-// AnalyzeTrace on the same files.
+// on disk, in one read of every sample. When the samples file carries a
+// block index (binary recordings written by this tool), its blocks are
+// read through the index with every block checksum verified, and fanned
+// across the shared worker pool: each worker streams its own block ranges
+// with its own decode scratch into mergeable accumulators. Everything else
+// (CSV, compressed, foreign) streams block by block as a single job. Either way
+// peak memory is bounded by block size × workers, never by the recording
+// length, and the report is bit-identical to LoadTrace + AnalyzeTrace on
+// the same files at any worker count.
 func (t *Tool) AnalyzeTraceFile(samplesPath, objectsPath string) (*Report, error) {
 	rep, err := t.analyzeTraceFileRange(samplesPath, objectsPath, fullRange())
 	return rep, obs.FlightFailure("analyze.trace_file", err)
@@ -136,8 +123,8 @@ func (t *Tool) AnalyzeTraceFile(samplesPath, objectsPath string) (*Report, error
 
 // AnalyzeTraceFileRange is AnalyzeTraceFile restricted to samples with
 // Time in [lo, hi] (inclusive): the report is exactly AnalyzeTrace over
-// the recording with every other sample dropped. On an indexed recording,
-// blocks whose time range misses the window are never read at all.
+// the recording with every other sample dropped. Blocks of an indexed
+// recording whose time range misses the window are never read at all.
 func (t *Tool) AnalyzeTraceFileRange(samplesPath, objectsPath string, lo, hi float64) (*Report, error) {
 	if !(lo <= hi) {
 		return nil, fmt.Errorf("drbw: invalid time range [%v, %v]", lo, hi)
@@ -147,60 +134,27 @@ func (t *Tool) AnalyzeTraceFileRange(samplesPath, objectsPath string, lo, hi flo
 }
 
 func (t *Tool) analyzeTraceFileRange(samplesPath, objectsPath string, tr timeRange) (*Report, error) {
+	compute := func() (*Report, error) {
+		sp := obs.BeginSpan("analyze.trace_file")
+		sp.SetStr("samples", samplesPath)
+		defer sp.End()
+		return t.analyze([]string{samplesPath}, objectsPath, tr, nil, "analyze.blocks", sp)
+	}
 	if t.cache != nil {
 		if key, err := t.analyzeFileKey(samplesPath, objectsPath, tr); err == nil {
-			return t.cachedReport(key, func() (*Report, error) {
-				return t.analyzeTraceFileRangeUncached(samplesPath, objectsPath, tr)
-			})
+			return t.cachedReport(key, compute)
 		}
 		// Fingerprinting failed — missing file, unreadable bytes. Fall
 		// through uncached so the analysis itself surfaces the real error.
 	}
-	return t.analyzeTraceFileRangeUncached(samplesPath, objectsPath, tr)
-}
-
-func (t *Tool) analyzeTraceFileRangeUncached(samplesPath, objectsPath string, tr timeRange) (*Report, error) {
-	sp := obs.BeginSpan("analyze.trace_file")
-	sp.SetStr("samples", samplesPath)
-	defer sp.End()
-	objects, err := readObjectsFile(objectsPath)
-	if err != nil {
-		return nil, err
-	}
-	// Checksummed indexed recordings take the fused single pass: the index
-	// footer supplies the time range and total upfront, so features,
-	// timeline, and CF accumulate in one decode sweep. A time-limited range
-	// keeps the two-pass path — the filtered samples' exact time range is
-	// not knowable from block-level bounds, and the timeline geometry must
-	// come from the samples actually kept.
-	if !tr.limited {
-		if rep, ok, err := t.analyzeSinglePassFile(samplesPath, objects, nil, sp); ok {
-			return rep, err
-		}
-	}
-	// With one worker the block fan-out buys nothing and still pays for the
-	// index open, chunking and two merge steps; the serial reader is
-	// measurably faster and bit-identical. A time-limited range stays on the
-	// indexed path even then, for the block pruning.
-	if core.PoolWorkers() == 1 && !tr.limited {
-		return t.analyzeTraceFileSerial(samplesPath, objects, &traceScratch{acc: features.NewAccumulator(t.machine)}, tr)
-	}
-	if it, err := profiledata.OpenIndexedTrace(samplesPath); err == nil {
-		defer it.Close()
-		return t.analyzeIndexed(it, objects, tr, sp)
-	}
-	// No usable index — CSV, compressed, foreign, or a damaged footer. The
-	// streaming path ignores trailing footers entirely, so it analyzes
-	// everything the serial reader can; a genuinely missing or unreadable
-	// file resurfaces through the streaming open below.
-	return t.analyzeTraceFileSerial(samplesPath, objects, &traceScratch{acc: features.NewAccumulator(t.machine)}, tr)
+	return compute()
 }
 
 // AnalyzeTraceFiles is AnalyzeTraceFile over a batch of recordings on the
 // shared worker pool, with the AnalyzeTraces partial-result semantics:
 // reports[i] is nil exactly when recording i failed, and a *BatchError
-// aggregates the failures. Each recording is analyzed serially — the batch
-// itself is the parallelism — with per-worker decode buffers and
+// aggregates the failures. Each recording runs serially on one worker —
+// the batch itself is the parallelism — with per-worker decode buffers and
 // accumulators, so the batch allocates like a handful of serial analyses.
 func (t *Tool) AnalyzeTraceFiles(paths []TracePaths) ([]*Report, error) {
 	if len(paths) == 1 {
@@ -216,20 +170,11 @@ func (t *Tool) AnalyzeTraceFiles(paths []TracePaths) ([]*Report, error) {
 	}
 	reports := make([]*Report, len(paths))
 	errs := make([]error, len(paths))
-	scratch := make([]*traceScratch, core.PoolWorkers())
+	scratch := &workerStates{make: func() *analysisState { return &analysisState{} }}
 	sp := obs.BeginSpan("analyze.tracefiles")
 	core.ParallelForLabeledSpans(len(paths), "analyze.tracefiles", sp, func(i, w int, cs obs.SpanHandle) {
 		cs.SetStr("samples", paths[i].Samples)
-		if w >= len(scratch) {
-			// The pool width changed mid-call; fall back to fresh scratch.
-			fresh := &traceScratch{acc: features.NewAccumulator(t.machine)}
-			reports[i], errs[i] = t.analyzeTraceFileBatch(paths[i].Samples, paths[i].Objects, fresh)
-			return
-		}
-		if scratch[w] == nil {
-			scratch[w] = &traceScratch{acc: features.NewAccumulator(t.machine)}
-		}
-		reports[i], errs[i] = t.analyzeTraceFileBatch(paths[i].Samples, paths[i].Objects, scratch[w])
+		reports[i], errs[i] = t.analyzeTraceFileBatch(paths[i].Samples, paths[i].Objects, scratch.get(w))
 	})
 	sp.End()
 	var be BatchError
@@ -243,6 +188,22 @@ func (t *Tool) AnalyzeTraceFiles(paths []TracePaths) ([]*Report, error) {
 		return reports, &be
 	}
 	return reports, nil
+}
+
+// analyzeTraceFileBatch is the batch path's per-recording unit: a serial
+// sweep on the worker's scratch, through the cache when one is attached. The
+// cache's singleflight also dedups a recording listed more than once in a
+// batch — the duplicates decode once and every slot gets the report.
+func (t *Tool) analyzeTraceFileBatch(samplesPath, objectsPath string, sc *analysisState) (*Report, error) {
+	compute := func() (*Report, error) {
+		return t.analyze([]string{samplesPath}, objectsPath, fullRange(), sc, "", obs.SpanHandle{})
+	}
+	if t.cache != nil {
+		if key, err := t.analyzeFileKey(samplesPath, objectsPath, fullRange()); err == nil {
+			return t.cachedReport(key, compute)
+		}
+	}
+	return compute()
 }
 
 // AnalyzeTraceShards analyzes one logical recording that was captured as
@@ -259,60 +220,18 @@ func (t *Tool) analyzeTraceShards(samplePaths []string, objectsPath string) (*Re
 	if len(samplePaths) == 0 {
 		return nil, fmt.Errorf("drbw: no sample shards given")
 	}
+	compute := func() (*Report, error) {
+		sp := obs.BeginSpan("analyze.shards")
+		sp.SetInt("shards", int64(len(samplePaths)))
+		defer sp.End()
+		return t.analyze(samplePaths, objectsPath, fullRange(), nil, "analyze.shards", sp)
+	}
 	if t.cache != nil {
 		if key, err := t.shardsKey(samplePaths, objectsPath); err == nil {
-			return t.cachedReport(key, func() (*Report, error) {
-				return t.analyzeTraceShardsUncached(samplePaths, objectsPath)
-			})
+			return t.cachedReport(key, compute)
 		}
 	}
-	return t.analyzeTraceShardsUncached(samplePaths, objectsPath)
-}
-
-func (t *Tool) analyzeTraceShardsUncached(samplePaths []string, objectsPath string) (*Report, error) {
-	sp := obs.BeginSpan("analyze.shards")
-	sp.SetInt("shards", int64(len(samplePaths)))
-	defer sp.End()
-	objects, err := readObjectsFile(objectsPath)
-	if err != nil {
-		return nil, err
-	}
-	// When every shard carries a checksummed index, the whole logical
-	// recording fuses to one decode sweep per shard.
-	if rep, ok, err := t.analyzeShardsSinglePass(samplePaths, objects, sp); ok {
-		return rep, err
-	}
-	// The timeline and the merge checks need the weight before the fan-out;
-	// take it from the first shard and hold every other shard to it.
-	weight, err := readTraceWeight(samplePaths[0])
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]shardJob, len(samplePaths))
-	for i, path := range samplePaths {
-		i, path := i, path
-		jobs[i] = shardJob{
-			name: path,
-			from: i,
-			to:   i + 1,
-			run: func(bufs *profiledata.Buffers, emit func([]pebs.Sample) error) error {
-				f, err := os.Open(path)
-				if err != nil {
-					return fmt.Errorf("drbw: %w", err)
-				}
-				defer f.Close()
-				sr, err := profiledata.NewSampleReaderBuffers(f, bufs)
-				if err != nil {
-					return err
-				}
-				if sr.Weight() != weight {
-					return fmt.Errorf("drbw: shard %s has weight %v, the first shard has %v", path, sr.Weight(), weight)
-				}
-				return drainReader(sr, emit)
-			},
-		}
-	}
-	return t.analyzeJobs(jobs, weight, objects, fullRange(), "analyze.shards", sp)
+	return compute()
 }
 
 // AnalyzeTraceShardDir is AnalyzeTraceShards over a directory: every
@@ -347,74 +266,341 @@ func (t *Tool) AnalyzeTraceShardDir(dir string) (*Report, error) {
 	return t.AnalyzeTraceShards(shards, objects[0])
 }
 
-// shardJob streams one independently decodable portion of a recording — a
-// block range of an indexed trace, or one whole shard file — through run,
-// using the worker's decode scratch. A job must yield the same samples
-// every time it runs (both passes replay it). name and [from, to) identify
-// the portion for trace spans and error messages: the shard path and shard
-// index for shard jobs, or the block range for indexed block-range jobs.
-type shardJob struct {
+// The analysis kernel. Every offline input — one recording, the shards of
+// one, a time window of one, a batch member — is one sweep: dispatch
+// splits it into jobs, each worker accumulates the jobs it runs into its
+// own analysisState, the states merge, and finish classifies and reports.
+// Every sample is decoded exactly once. Features, the timeline and CF
+// attribution all accumulate in that one read: the timeline's geometry
+// grows with the data (diagnose.TimelineAccumulator), and DenseCF counts
+// attribution on every remote channel until classification names the
+// contended ones.
+//
+// The block index only accelerates. A block-range job reads through the
+// index with every block verified against its CRC-64, and on a full-range
+// read the decoded samples must match the index's claimed count and time
+// range exactly (checkIndexAgrees) — a footer no checksum covers cannot
+// skew the result. Without a usable index the same recording streams as
+// one job.
+
+// testHookIndexOpened, when non-nil, runs after dispatch has opened a
+// recording's block index and before any block decodes. Tests use it to
+// mutate the recording mid-analysis and prove the per-block checksum
+// verification fires, and to see which inputs took the index.
+var testHookIndexOpened func()
+
+// analysisState is one worker's reusable analysis state: decode buffers
+// plus the mergeable accumulators. Reused across a batch's recordings, it
+// keeps the batch's allocation count proportional to the worker count,
+// not the trace count or length.
+type analysisState struct {
+	bufs   profiledata.Buffers
+	acc    *features.Accumulator
+	tl     *diagnose.TimelineAccumulator
+	dcf    *diagnose.DenseCF // nil when the objects table is invalid
+	weight float64
+	raw    int64 // samples read, before time filtering
+	// seen is the count and time range of the samples analyzed, after
+	// time filtering, for the index honesty check.
+	seen sampleSpan
+}
+
+// reset readies st for a sweep.
+func (t *Tool) reset(st *analysisState, sw *sweep, table *profiledata.Table) {
+	if st.acc == nil {
+		st.acc = features.NewAccumulator(t.machine)
+	} else {
+		st.acc.Reset()
+	}
+	st.tl = diagnose.NewTimelineAccumulator(timelineBuckets, sw.weight)
+	st.dcf = nil
+	if table != nil {
+		st.dcf = diagnose.NewDenseCF(table, t.machine.Nodes(), sw.weight)
+	}
+	st.weight = sw.weight
+	st.raw, st.seen = 0, emptySpan()
+}
+
+// validateSample rejects a sample the analysis cannot place: a node
+// outside the machine, or a time that is not finite. Every route applies
+// this one rule.
+func (t *Tool) validateSample(s *pebs.Sample) error {
+	nodes := t.machine.Nodes()
+	if s.SrcNode < 0 || int(s.SrcNode) >= nodes || s.HomeNode < 0 || int(s.HomeNode) >= nodes {
+		return fmt.Errorf("drbw: sample references node outside the %d-node machine", nodes)
+	}
+	if math.IsNaN(s.Time) || math.IsInf(s.Time, 0) {
+		return fmt.Errorf("drbw: sample has non-finite time %v", s.Time)
+	}
+	return nil
+}
+
+// add filters one decoded block to the time range, validates what is
+// kept, and accumulates it.
+func (t *Tool) add(st *analysisState, block []pebs.Sample, tr timeRange) error {
+	st.raw += int64(len(block))
+	block = tr.filter(block)
+	st.seen.n += int64(len(block))
+	nodes := uint(t.machine.Nodes())
+	for i := range block {
+		s := &block[i]
+		// x-x is NaN exactly when x is NaN or infinite.
+		if uint(s.SrcNode) >= nodes || uint(s.HomeNode) >= nodes || s.Time-s.Time != 0 {
+			return t.validateSample(s)
+		}
+		if s.Time < st.seen.minT {
+			st.seen.minT = s.Time
+		}
+		if s.Time > st.seen.maxT {
+			st.seen.maxT = s.Time
+		}
+	}
+	st.acc.Add(block)
+	st.tl.Add(block)
+	if st.dcf != nil {
+		st.dcf.Add(block)
+	}
+	return nil
+}
+
+// merge folds o into st. Counts are integers and sums are exact, so any
+// merge order is bit-identical to one state fed every sample.
+func (st *analysisState) merge(o *analysisState) error {
+	if err := st.acc.Merge(o.acc); err != nil {
+		return err
+	}
+	if err := st.tl.Merge(o.tl); err != nil {
+		return err
+	}
+	if st.dcf != nil {
+		if err := st.dcf.Merge(o.dcf); err != nil {
+			return err
+		}
+	}
+	st.raw += o.raw
+	st.seen.union(o.seen)
+	return nil
+}
+
+// workerStates hands out per-worker state under a lock, growing the slice
+// if the pool width changes mid-call — a dropped worker state would
+// silently lose that worker's samples from the merge.
+type workerStates struct {
+	mu     sync.Mutex
+	states []*analysisState
+	make   func() *analysisState
+}
+
+func (ws *workerStates) get(w int) *analysisState {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	for len(ws.states) <= w {
+		ws.states = append(ws.states, nil)
+	}
+	if ws.states[w] == nil {
+		ws.states[w] = ws.make()
+	}
+	return ws.states[w]
+}
+
+// sampleSpan is a sample count and the time range the samples span: what
+// a block index claims for its blocks, or what an analysis saw.
+type sampleSpan struct {
+	n          int64
+	minT, maxT float64
+}
+
+func emptySpan() sampleSpan { return sampleSpan{minT: math.Inf(1), maxT: math.Inf(-1)} }
+
+// union widens c to cover o.
+func (c *sampleSpan) union(o sampleSpan) {
+	c.n += o.n
+	c.minT = math.Min(c.minT, o.minT)
+	c.maxT = math.Max(c.maxT, o.maxT)
+}
+
+// checkIndexAgrees is the index honesty check: the decoded samples must
+// match the index's claims exactly — same count, same time range. The
+// block checksums guarantee the payload bytes are the ones the encoder
+// summed; this closes the remaining gap, a footer whose counts or times
+// (which no checksum covers) disagree with the blocks they describe.
+func checkIndexAgrees(claim, seen sampleSpan) error {
+	if claim == seen {
+		return nil
+	}
+	return fmt.Errorf("drbw: index disagrees with recording (index claims %d samples in [%v, %v]; decoded %d samples in [%v, %v])",
+		claim.n, claim.minT, claim.maxT, seen.n, seen.minT, seen.maxT)
+}
+
+// job streams one independently decodable portion of a recording — a
+// block range of an indexed trace, or a whole file. name and [from, to)
+// identify the portion for trace spans and error messages: the recording
+// ("blocks" for a single file) and block range for block-range jobs, the
+// path and shard index for stream jobs.
+type job struct {
 	name     string
 	from, to int
-	run      func(bufs *profiledata.Buffers, emit func([]pebs.Sample) error) error
+	// open starts the job's reader on the worker's decode buffers; done
+	// releases it.
+	open func(bufs *profiledata.Buffers) (sr *profiledata.SampleReader, done func(), err error)
 }
 
-// analyzeIndexed fans the blocks of one indexed recording across the
-// worker pool as contiguous block-range jobs.
-func (t *Tool) analyzeIndexed(it *profiledata.IndexedTrace, objects []alloc.Object, tr timeRange, sp obs.SpanHandle) (*Report, error) {
-	// Keep only blocks whose time range intersects tr, grouped into maximal
+// annotate attaches a job's portion identity to its trace span.
+func (j *job) annotate(cs obs.SpanHandle) {
+	cs.SetStr("portion", j.name)
+	cs.SetInt("from", int64(j.from))
+	cs.SetInt("to", int64(j.to))
+}
+
+// sweep is one analysis input split into jobs.
+type sweep struct {
+	jobs   []job
+	weight float64
+	// bounds, when bounded, is the index's claim for the whole input —
+	// every block of it read through an index. checkIndexAgrees holds the
+	// decoded samples to it.
+	bounds  sampleSpan
+	bounded bool
+	// skipped counts samples in blocks the time range pruned, so an empty
+	// window can be told apart from an empty recording.
+	skipped int64
+	closers []io.Closer
+}
+
+func (sw *sweep) close() {
+	for _, c := range sw.closers {
+		c.Close()
+	}
+}
+
+// dispatch turns one analysis input into jobs — the only place that
+// decides how an input is read. Every input with a usable block index
+// becomes block-range jobs over the blocks tr does not prune: one job per
+// contiguous run when the sweep is serial (a batch member) or the pool has
+// one worker, about four per worker otherwise. Every other input — CSV,
+// unindexed or compressed binary, a damaged footer — is one whole-file
+// stream job. The sweep's weight is the first input's: from its index, or
+// from its stream reader, which dispatch opens on bufs for the purpose and
+// hands to that input's job.
+func (t *Tool) dispatch(paths []string, tr timeRange, serial bool, bufs *profiledata.Buffers) (*sweep, error) {
+	sw := &sweep{bounds: emptySpan(), bounded: !tr.limited}
+	// Keep only blocks whose time range intersects tr, as maximal
 	// contiguous runs (block time ranges need not be sorted, so pruning can
 	// split the keep-set).
-	type run struct{ from, to int }
+	type run struct {
+		it       *profiledata.IndexedTrace
+		name     string
+		from, to int
+	}
 	var runs []run
-	kept := 0
-	for b := 0; b < it.Blocks(); b++ {
-		if tr.skipBlock(it.Entry(b)) {
+	kept, indexed := 0, false
+	for i, path := range paths {
+		it, err := profiledata.OpenIndexedTrace(path)
+		if err != nil {
+			// No usable index. The stream reader ignores trailing footers,
+			// so it reads everything; a missing file surfaces when it opens.
+			sw.bounded = false
+			j := streamJob(path, i)
+			if i == 0 {
+				sr, f, err := openStream(path, bufs)
+				if err != nil {
+					return nil, err
+				}
+				sw.closers = append(sw.closers, f)
+				sw.weight = sr.Weight()
+				j.open = func(*profiledata.Buffers) (*profiledata.SampleReader, func(), error) {
+					return sr, func() {}, nil
+				}
+			}
+			sw.jobs = append(sw.jobs, j)
 			continue
 		}
-		kept++
-		if n := len(runs); n > 0 && runs[n-1].to == b {
-			runs[n-1].to = b + 1
-		} else {
-			runs = append(runs, run{from: b, to: b + 1})
+		sw.closers = append(sw.closers, it)
+		indexed = true
+		if i == 0 {
+			sw.weight = it.Weight()
 		}
-	}
-	if kept == 0 {
-		return nil, errNoSamples(tr, it.TotalSamples())
-	}
-	// Split the runs into ~4 chunks per worker so stragglers rebalance,
-	// without degenerating into per-block jobs on small traces.
-	blocksPerChunk := kept / (core.PoolWorkers() * 4)
-	if blocksPerChunk < 1 {
-		blocksPerChunk = 1
-	}
-	var jobs []shardJob
-	for _, r := range runs {
-		for from := r.from; from < r.to; from += blocksPerChunk {
-			to := from + blocksPerChunk
-			if to > r.to {
-				to = r.to
+		if it.Weight() != sw.weight {
+			sw.close()
+			return nil, fmt.Errorf("drbw: shard %s has weight %v, the first shard has %v", path, it.Weight(), sw.weight)
+		}
+		name := "blocks"
+		if len(paths) > 1 {
+			name = path
+		}
+		for b := 0; b < it.Blocks(); b++ {
+			e := it.Entry(b)
+			if tr.skipBlock(e) {
+				sw.skipped += int64(e.Count)
+				continue
 			}
-			from, to := from, to
-			jobs = append(jobs, shardJob{
-				name: "blocks",
-				from: from,
-				to:   to,
-				run: func(bufs *profiledata.Buffers, emit func([]pebs.Sample) error) error {
-					sr, err := it.RangeReader(from, to, bufs)
-					if err != nil {
-						return err
-					}
-					return drainReader(sr, emit)
-				},
-			})
+			kept++
+			sw.bounds.union(sampleSpan{n: int64(e.Count), minT: e.MinTime, maxT: e.MaxTime})
+			if n := len(runs); n > 0 && runs[n-1].it == it && runs[n-1].to == b {
+				runs[n-1].to = b + 1
+			} else {
+				runs = append(runs, run{it: it, name: name, from: b, to: b + 1})
+			}
 		}
 	}
-	return t.analyzeJobs(jobs, it.Weight(), objects, tr, "analyze.blocks", sp)
+	if indexed && testHookIndexOpened != nil {
+		testHookIndexOpened()
+	}
+	// Cutting runs into ~4 chunks per worker lets stragglers rebalance
+	// without degenerating into per-block jobs.
+	perChunk := max(1, kept)
+	if workers := core.PoolWorkers(); !serial && workers > 1 {
+		perChunk = max(1, kept/(workers*4))
+	}
+	for _, r := range runs {
+		for from := r.from; from < r.to; from += perChunk {
+			it, from, to := r.it, from, min(from+perChunk, r.to)
+			sw.jobs = append(sw.jobs, job{name: r.name, from: from, to: to,
+				open: func(bufs *profiledata.Buffers) (*profiledata.SampleReader, func(), error) {
+					sr, err := it.RangeReader(from, to, bufs)
+					return sr, func() {}, err
+				}})
+		}
+	}
+	return sw, nil
 }
 
-// drainReader feeds every remaining block of sr to emit.
-func drainReader(sr *profiledata.SampleReader, emit func([]pebs.Sample) error) error {
+// streamJob is a whole-file stream job over path, the i-th input.
+func streamJob(path string, i int) job {
+	return job{name: path, from: i, to: i + 1,
+		open: func(bufs *profiledata.Buffers) (*profiledata.SampleReader, func(), error) {
+			sr, f, err := openStream(path, bufs)
+			if err != nil {
+				return nil, nil, err
+			}
+			return sr, func() { f.Close() }, nil
+		}}
+}
+
+// openStream opens path for streaming on bufs.
+func openStream(path string, bufs *profiledata.Buffers) (*profiledata.SampleReader, *os.File, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("drbw: %w", err)
+	}
+	sr, err := profiledata.NewSampleReaderBuffers(f, bufs)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return sr, f, nil
+}
+
+// runJob streams one job through st.
+func (t *Tool) runJob(st *analysisState, j *job, tr timeRange) error {
+	sr, done, err := j.open(&st.bufs)
+	if err != nil {
+		return err
+	}
+	defer done()
+	if sr.Weight() != st.weight {
+		return fmt.Errorf("drbw: shard %s has weight %v, the first shard has %v", j.name, sr.Weight(), st.weight)
+	}
 	for {
 		block, err := sr.Next()
 		if err == io.EOF {
@@ -423,306 +609,96 @@ func drainReader(sr *profiledata.SampleReader, emit func([]pebs.Sample) error) e
 		if err != nil {
 			return err
 		}
-		if err := emit(block); err != nil {
+		if err := t.add(st, block, tr); err != nil {
 			return err
 		}
 	}
 }
 
-// shardState is one worker's mergeable accumulator set. The two-pass path
-// fills bufs/acc/tl/raw in pass one and reuses bufs for tlf/cf/raw in pass
-// two; the fused single-pass path fills bufs/acc/tlf/dcf and the
-// index-honesty fields in its only pass.
-type shardState struct {
-	bufs profiledata.Buffers
-	acc  *features.Accumulator
-	tl   *diagnose.TimelineAccumulator
-	tlf  *diagnose.TimelineAccumulator
-	cf   *diagnose.CFAccumulator
-	dcf  *diagnose.DenseCF // single-pass: all-channels CF attribution
-	raw  int64             // samples streamed, before time filtering
-	kept int64             // samples analyzed, after time filtering
-	oob  int64             // single-pass: samples outside the index's claimed time range
-	// obsMin and obsMax track the observed time range of in-range samples,
-	// cross-checked against the index's claim after the merge.
-	obsMin, obsMax float64
-}
-
-// shardStates hands out per-worker state under a lock, growing the slice
-// if the pool width changes mid-call — a dropped worker state would
-// silently lose that worker's samples from the merge.
-type shardStates struct {
-	mu     sync.Mutex
-	states []*shardState
-	make   func() *shardState
-}
-
-func (ss *shardStates) get(w int) *shardState {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	for len(ss.states) <= w {
-		ss.states = append(ss.states, nil)
-	}
-	if ss.states[w] == nil {
-		ss.states[w] = ss.make()
-	}
-	return ss.states[w]
-}
-
-// annotate attaches a job's portion identity to its trace span.
-func (j *shardJob) annotate(cs obs.SpanHandle, pass int64) {
-	cs.SetStr("portion", j.name)
-	cs.SetInt("from", int64(j.from))
-	cs.SetInt("to", int64(j.to))
-	cs.SetInt("pass", pass)
-}
-
-// analyzeJobs is the shared two-pass shard runner: every job is streamed
-// once to build features and the timeline range, and once more to bucket
-// the timeline and attribute CF. Per-worker accumulators merge in worker
-// order; counts are integers and sums are exact, so the merged report is
-// bit-identical to the serial pipeline over the jobs' concatenated samples
-// regardless of worker count or scheduling. Errors surface from the
-// lowest-indexed failing job so reruns are deterministic. When a tracer is
-// installed every job becomes a child span of parent carrying the portion
-// name, [from, to) range, pass number, and worker id.
-func (t *Tool) analyzeJobs(jobs []shardJob, weight float64, objects []alloc.Object, tr timeRange, label string, parent obs.SpanHandle) (*Report, error) {
-	// Pass one: validate, extract features, find the time range.
-	ss := &shardStates{make: func() *shardState {
-		return &shardState{
-			acc: features.NewAccumulator(t.machine),
-			tl:  diagnose.NewTimelineAccumulator(timelineBuckets, weight),
-		}
-	}}
-	rawPass1 := make([]int64, len(jobs))
-	errs := make([]error, len(jobs))
-	core.ParallelForLabeledSpans(len(jobs), label, parent, func(i, w int, cs obs.SpanHandle) {
-		jobs[i].annotate(cs, 1)
-		st := ss.get(w)
-		start := st.raw
-		errs[i] = jobs[i].run(&st.bufs, func(block []pebs.Sample) error {
-			st.raw += int64(len(block))
-			block = tr.filter(block)
-			st.kept += int64(len(block))
-			for j := range block {
-				s := &block[j]
-				if s.SrcNode < 0 || int(s.SrcNode) >= t.machine.Nodes() ||
-					s.HomeNode < 0 || int(s.HomeNode) >= t.machine.Nodes() {
-					return fmt.Errorf("drbw: sample references node outside the %d-node machine", t.machine.Nodes())
-				}
-			}
-			st.acc.Add(block)
-			st.tl.Observe(block)
-			return nil
-		})
-		rawPass1[i] = st.raw - start
-	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-
-	acc := features.NewAccumulator(t.machine)
-	tl := diagnose.NewTimelineAccumulator(timelineBuckets, weight)
-	var total int64
-	for _, st := range ss.states {
-		if st == nil {
-			continue
-		}
-		if err := acc.Merge(st.acc); err != nil {
-			return nil, err
-		}
-		if err := tl.Merge(st.tl); err != nil {
-			return nil, err
-		}
-		total += st.kept
-	}
-	if total == 0 {
-		raw := 0
-		for i := range rawPass1 {
-			raw += int(rawPass1[i])
-		}
-		return nil, errNoSamples(tr, raw)
-	}
-
-	rep := &Report{Samples: total}
-	contended := t.classify(acc, weight, rep)
-
-	// Pass two: bucket the timeline and, when contended, attribute CF
-	// through the recorded allocation table. Fork clones share tl's frozen
-	// geometry; each worker counts alone and merges back exactly.
-	var table *profiledata.Table
-	if rep.Detected {
-		var err error
-		if table, err = profiledata.NewTable(objects); err != nil {
-			return nil, err
-		}
-	}
-	ss2 := &shardStates{make: func() *shardState {
-		st := &shardState{tlf: tl.Fork()}
-		if table != nil {
-			st.cf = diagnose.NewCFAccumulator(table, contended, weight)
-		}
-		return st
-	}}
-	// Reuse pass-one decode buffers where the worker indices line up.
-	ss2.states = make([]*shardState, len(ss.states))
-	for w, st := range ss.states {
-		if st == nil {
-			continue
-		}
-		s2 := ss2.make()
-		s2.bufs = st.bufs
-		ss2.states[w] = s2
-	}
-	rawPass2 := make([]int64, len(jobs))
-	core.ParallelForLabeledSpans(len(jobs), label, parent, func(i, w int, cs obs.SpanHandle) {
-		jobs[i].annotate(cs, 2)
-		st := ss2.get(w)
-		start := st.raw
-		errs[i] = jobs[i].run(&st.bufs, func(block []pebs.Sample) error {
-			st.raw += int64(len(block))
-			block = tr.filter(block)
-			st.tlf.Add(block)
-			if st.cf != nil {
-				st.cf.Add(block)
-			}
-			return nil
-		})
-		rawPass2[i] = st.raw - start
-	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	for i := range jobs {
-		if rawPass1[i] != rawPass2[i] {
-			return nil, fmt.Errorf("drbw: recording changed during analysis (portion %d held %d samples, then %d)", i, rawPass1[i], rawPass2[i])
-		}
-	}
-	var cf *diagnose.CFAccumulator
-	if table != nil {
-		cf = diagnose.NewCFAccumulator(table, contended, weight)
-	}
-	for _, st := range ss2.states {
-		if st == nil {
-			continue
-		}
-		if err := tl.Merge(st.tlf); err != nil {
-			return nil, err
-		}
-		if cf != nil {
-			if err := cf.Merge(st.cf); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return t.finishReport(rep, tl, cf)
-}
-
-// analyzeTraceFileBatch is the batch path's per-recording unit: the serial
-// streaming analysis, through the cache when one is attached. The cache's
-// singleflight also dedups a recording listed more than once in a batch —
-// the duplicates decode once and every slot gets the report.
-func (t *Tool) analyzeTraceFileBatch(samplesPath, objectsPath string, sc *traceScratch) (*Report, error) {
-	if t.cache != nil {
-		if key, err := t.analyzeFileKey(samplesPath, objectsPath, fullRange()); err == nil {
-			return t.cachedReport(key, func() (*Report, error) {
-				return t.analyzeTraceFile(samplesPath, objectsPath, sc)
-			})
-		}
-	}
-	return t.analyzeTraceFile(samplesPath, objectsPath, sc)
-}
-
-// analyzeTraceFile is the serial streaming analysis used by the batch path
-// (which parallelizes across recordings, not within them).
-func (t *Tool) analyzeTraceFile(samplesPath, objectsPath string, sc *traceScratch) (*Report, error) {
+// analyze is the kernel's entry: read the objects table, dispatch the
+// input into jobs, run them — in order on sc when the caller supplies its
+// worker's state (a batch member), inline on a fresh state when there is
+// one job, across the worker pool otherwise — merge, and finish. When a
+// tracer is installed every pooled job becomes a child span of parent
+// carrying the portion name, [from, to) range and worker id. Errors surface
+// from the lowest-indexed failing job so reruns are deterministic.
+func (t *Tool) analyze(paths []string, objectsPath string, tr timeRange, sc *analysisState, label string, parent obs.SpanHandle) (*Report, error) {
 	objects, err := readObjectsFile(objectsPath)
 	if err != nil {
 		return nil, err
 	}
-	// A checksummed indexed recording fuses to one decode sweep even here;
-	// passing sc keeps the sweep serial (the batch is the parallelism) and
-	// reuses this worker's scratch.
-	if rep, ok, err := t.analyzeSinglePassFile(samplesPath, objects, sc, obs.SpanHandle{}); ok {
-		return rep, err
+	// DenseCF needs the objects table before the first sample. A table
+	// that does not form valid ranges (nil) skips it, and its error
+	// surfaces only if something is detected and CF is actually needed.
+	table, tableErr := profiledata.NewTable(objects)
+	st := sc
+	if st == nil {
+		st = &analysisState{}
 	}
-	return t.analyzeTraceFileSerial(samplesPath, objects, sc, fullRange())
-}
-
-func (t *Tool) analyzeTraceFileSerial(samplesPath string, objects []alloc.Object, sc *traceScratch, tr timeRange) (*Report, error) {
-	// Pass one: validate, extract features, find the time range.
-	sc.acc.Reset()
-	var (
-		weight float64
-		tl     *diagnose.TimelineAccumulator
-		raw1   int64
-		kept   int64
-	)
-	err := t.streamSamples(samplesPath, sc, func(w float64) {
-		weight = w
-		tl = diagnose.NewTimelineAccumulator(timelineBuckets, w)
-	}, func(block []pebs.Sample) error {
-		raw1 += int64(len(block))
-		block = tr.filter(block)
-		kept += int64(len(block))
-		for i := range block {
-			s := &block[i]
-			if s.SrcNode < 0 || int(s.SrcNode) >= t.machine.Nodes() ||
-				s.HomeNode < 0 || int(s.HomeNode) >= t.machine.Nodes() {
-				return fmt.Errorf("drbw: sample references node outside the %d-node machine", t.machine.Nodes())
+	sw, err := t.dispatch(paths, tr, sc != nil, &st.bufs)
+	if err != nil {
+		return nil, err
+	}
+	defer sw.close()
+	t.reset(st, sw, table)
+	if sc != nil || len(sw.jobs) == 1 {
+		for i := 0; i < len(sw.jobs) && err == nil; i++ {
+			err = t.runJob(st, &sw.jobs[i], tr)
+		}
+	} else {
+		ws := &workerStates{make: func() *analysisState {
+			w := &analysisState{}
+			t.reset(w, sw, table)
+			return w
+		}}
+		errs := make([]error, len(sw.jobs))
+		core.ParallelForLabeledSpans(len(sw.jobs), label, parent, func(i, w int, cs obs.SpanHandle) {
+			sw.jobs[i].annotate(cs)
+			errs[i] = t.runJob(ws.get(w), &sw.jobs[i], tr)
+		})
+		err = firstError(errs)
+		for _, w := range ws.states {
+			if err == nil && w != nil {
+				err = st.merge(w)
 			}
 		}
-		sc.acc.Add(block)
-		tl.Observe(block)
-		return nil
-	})
+	}
 	if err != nil {
 		return nil, err
 	}
-	if kept == 0 {
-		return nil, errNoSamples(tr, int(raw1))
-	}
-
-	rep := &Report{Samples: kept}
-	contended := t.classify(sc.acc, weight, rep)
-
-	// Pass two: bucket the timeline and, when contended, attribute CF
-	// through the recorded allocation table. The recording is re-read from
-	// disk, so before trusting it the pass re-checks what pass one
-	// established: same weight, same sample count. A recording that was
-	// swapped or appended to between the passes would otherwise be
-	// classified from one set of samples and diagnosed from another.
-	if testHookBetweenPasses != nil {
-		testHookBetweenPasses()
-	}
-	var cf *diagnose.CFAccumulator
-	if rep.Detected {
-		table, err := profiledata.NewTable(objects)
-		if err != nil {
+	if sw.bounded {
+		if err := checkIndexAgrees(sw.bounds, st.seen); err != nil {
 			return nil, err
 		}
-		cf = diagnose.NewCFAccumulator(table, contended, weight)
 	}
-	var raw2 int64
-	var weight2 float64
-	err = t.streamSamples(samplesPath, sc, func(w float64) {
-		weight2 = w
-	}, func(block []pebs.Sample) error {
-		raw2 += int64(len(block))
-		block = tr.filter(block)
-		tl.Add(block)
-		if cf != nil {
-			cf.Add(block)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	return t.finish(st, tr, sw.skipped, tableErr)
+}
+
+// finish classifies the merged state and assembles the report: verdict,
+// contended channels, timeline and, when contended, the CF attribution
+// projected from the dense counts.
+func (t *Tool) finish(st *analysisState, tr timeRange, skipped int64, tableErr error) (*Report, error) {
+	if st.seen.n == 0 {
+		return nil, errNoSamples(tr, int(st.raw+skipped))
 	}
-	if weight2 != weight || raw2 != raw1 {
-		return nil, fmt.Errorf("drbw: recording changed during analysis (weight %v then %v, %d then %d samples)", weight, weight2, raw1, raw2)
+	rep := &Report{Samples: st.seen.n}
+	contended := t.classify(st.acc, st.weight, rep)
+	rep.attachTimeline(st.tl.Buckets())
+	if !rep.Detected {
+		return rep, nil
 	}
-	return t.finishReport(rep, tl, cf)
+	if tableErr != nil {
+		return nil, tableErr
+	}
+	diag := st.dcf.Restrict(contended).Report()
+	for _, o := range diag.Overall {
+		rep.Objects = append(rep.Objects, ObjectCF{
+			Name: o.Object.Name, Site: o.Object.Site.String(),
+			CF: o.CF, Samples: o.Samples,
+		})
+	}
+	rep.UnattributedCF = diag.UnattributedCF
+	return rep, nil
 }
 
 // classify runs the trained tree over the accumulated per-channel vectors,
@@ -744,24 +720,6 @@ func (t *Tool) classify(acc *features.Accumulator, weight float64, rep *Report) 
 		rep.Channels = append(rep.Channels, ch.String())
 	}
 	return contended
-}
-
-// finishReport attaches the timeline and, when a CF accumulator ran, the
-// object attribution.
-func (t *Tool) finishReport(rep *Report, tl *diagnose.TimelineAccumulator, cf *diagnose.CFAccumulator) (*Report, error) {
-	rep.attachTimeline(tl.Buckets())
-	if cf == nil {
-		return rep, nil
-	}
-	diag := cf.Report()
-	for _, o := range diag.Overall {
-		rep.Objects = append(rep.Objects, ObjectCF{
-			Name: o.Object.Name, Site: o.Object.Site.String(),
-			CF: o.CF, Samples: o.Samples,
-		})
-	}
-	rep.UnattributedCF = diag.UnattributedCF
-	return rep, nil
 }
 
 // errNoSamples distinguishes an empty recording from a time window that
@@ -791,48 +749,4 @@ func readObjectsFile(path string) ([]alloc.Object, error) {
 	}
 	defer f.Close()
 	return profiledata.ReadObjects(f)
-}
-
-// readTraceWeight opens a recording just long enough to read its weight.
-func readTraceWeight(path string) (float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("drbw: %w", err)
-	}
-	defer f.Close()
-	sr, err := profiledata.NewSampleReader(f)
-	if err != nil {
-		return 0, err
-	}
-	return sr.Weight(), nil
-}
-
-// streamSamples opens the samples file and feeds every decoded block to
-// fn, reusing the scratch buffers. onWeight, when non-nil, receives the
-// recording weight before the first block.
-func (t *Tool) streamSamples(path string, sc *traceScratch, onWeight func(float64), fn func([]pebs.Sample) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("drbw: %w", err)
-	}
-	defer f.Close()
-	sr, err := profiledata.NewSampleReaderBuffers(f, &sc.bufs)
-	if err != nil {
-		return err
-	}
-	if onWeight != nil {
-		onWeight(sr.Weight())
-	}
-	for {
-		block, err := sr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(block); err != nil {
-			return err
-		}
-	}
 }
