@@ -394,9 +394,7 @@ func BenchmarkEngineContendedRun(b *testing.B) {
 		bld := micro.Sumv(micro.BigCentralized, 0)
 		cfg := program.Config{Threads: 32, Nodes: 4, Input: "default", Seed: 3}
 		ecfg := engine.Config{Window: 8192, Warmup: 2048, ReservoirSize: 512, Seed: 3, Workers: workers}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		once := func() {
 			p, err := bld.New(m, cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -404,6 +402,16 @@ func BenchmarkEngineContendedRun(b *testing.B) {
 			if _, err := p.Run(ecfg); err != nil {
 				b.Fatal(err)
 			}
+		}
+		// One untimed run first: whichever variant runs first otherwise
+		// pays the process's one-time costs — the pooled hierarchy build
+		// (about 12 MB) and the per-channel gauge registration — and a
+		// -benchtime 1x gate reads those, not the steady-state run.
+		once()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			once()
 		}
 	}
 	b.Run("workers=1", func(b *testing.B) { run(b, 1) })

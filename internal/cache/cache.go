@@ -16,6 +16,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -386,8 +387,8 @@ func (p *prefetcher) observe(line uint64) bool {
 
 // Hierarchy is the full cache system of one machine.
 type Hierarchy struct {
-	machine  *topology.Machine
-	cfg      Config
+	key      hierKey // the pool key Release files it under
+	lineSize int
 	lineBits uint
 	// The per-core and per-node components are stored by value: the access
 	// hot path then reaches any of them with one indexed load instead of
@@ -402,12 +403,31 @@ type Hierarchy struct {
 	nodeOf []topology.NodeID
 }
 
-// hierKey identifies one hierarchy build: the machine pointer (geometry and
-// CPU tables) plus the effective configuration. Both are comparable, so the
-// key can index the recycle pool directly.
+// hierKey identifies one hierarchy build by everything NewHierarchy reads:
+// the machine's geometry, encoded as a string, plus the effective
+// configuration. Machines built separately from one spec share a key, and
+// a pooled hierarchy holds no machine pointer, so the pool never keeps a
+// dead machine alive. Both fields are comparable, so the key indexes the
+// recycle pool directly.
 type hierKey struct {
-	m   *topology.Machine
-	cfg Config
+	geom string
+	cfg  Config
+}
+
+// keyOf builds the pool key of a hierarchy for m under cfg: line size,
+// core and node counts, and the CPU→core and CPU→node tables.
+func keyOf(m *topology.Machine, cfg Config) hierKey {
+	n := m.NumCPUs()
+	b := make([]byte, 0, 4*binary.MaxVarintLen64+2*n*binary.MaxVarintLen32)
+	b = binary.AppendUvarint(b, uint64(m.LineSize()))
+	b = binary.AppendUvarint(b, uint64(m.NumCores()))
+	b = binary.AppendUvarint(b, uint64(m.Nodes()))
+	b = binary.AppendUvarint(b, uint64(n))
+	for cpu := topology.CPUID(0); int(cpu) < n; cpu++ {
+		b = binary.AppendVarint(b, int64(m.CoreOfCPU(cpu)))
+		b = binary.AppendVarint(b, int64(m.NodeOfCPU(cpu)))
+	}
+	return hierKey{geom: string(b), cfg: cfg}
 }
 
 // hierPool recycles hierarchies returned through Release, keyed by hierKey.
@@ -522,12 +542,13 @@ func NewHierarchy(m *topology.Machine, cfg Config) (*Hierarchy, error) {
 		cfg.PrefetchStreams = def.PrefetchStreams
 	}
 
-	if h := hierPool.get(hierKey{m, cfg}); h != nil {
+	key := keyOf(m, cfg)
+	if h := hierPool.get(key); h != nil {
 		return h, nil
 	}
 
 	line := m.LineSize()
-	h := &Hierarchy{machine: m, cfg: cfg, coreOf: m.CPUCoreTable(), nodeOf: m.CPUNodeTable()}
+	h := &Hierarchy{key: key, lineSize: line, coreOf: m.CPUCoreTable(), nodeOf: m.CPUNodeTable()}
 	for 1<<h.lineBits < line {
 		h.lineBits++
 	}
@@ -557,15 +578,15 @@ func NewHierarchy(m *topology.Machine, cfg Config) (*Hierarchy, error) {
 }
 
 // Config returns the effective configuration after defaults were applied.
-func (h *Hierarchy) Config() Config { return h.cfg }
+func (h *Hierarchy) Config() Config { return h.key.cfg }
 
 // Release flushes h and returns it to the recycle pool consulted by
 // NewHierarchy. The hierarchy must not be used after Release; the next
-// NewHierarchy call with the same machine and configuration may hand it to
-// another caller.
+// NewHierarchy call with the same machine geometry and configuration may
+// hand it to another caller.
 func (h *Hierarchy) Release() {
 	h.Flush()
-	hierPool.put(hierKey{h.machine, h.cfg}, h)
+	hierPool.put(h.key, h)
 }
 
 // Access runs one demand access (read or write, write-allocate) issued by
@@ -637,7 +658,7 @@ func (h *Hierarchy) Flush() {
 }
 
 // LineSize returns the machine's cache-line size in bytes.
-func (h *Hierarchy) LineSize() int { return h.machine.LineSize() }
+func (h *Hierarchy) LineSize() int { return h.lineSize }
 
 // SetsL1 exposes the L1 set count (used by the bandit generator to build
 // conflict-miss address streams that always bypass the caches).

@@ -464,6 +464,63 @@ func TestReleaseRecyclesEquivalently(t *testing.T) {
 	}
 }
 
+// TestPoolKeySharedAcrossMachines: two machines built from one spec are
+// one pool key, so a hierarchy released by a run on the first is recycled
+// for the second, and the recycled instance behaves bit-identically to a
+// fresh build on the second machine. A machine of another geometry gets
+// another key.
+func TestPoolKeySharedAcrossMachines(t *testing.T) {
+	m1, m2 := topology.XeonE5_4650(), topology.XeonE5_4650()
+	cfg := Config{
+		L1Size: 1 << 10, L1Assoc: 2,
+		L2Size: 4 << 10, L2Assoc: 4,
+		L3Size: 16 << 10, L3Assoc: 4,
+		LFBEntries: 5, PrefetchDepth: 4, PrefetchStreams: 2,
+	}
+	if keyOf(m1, cfg) != keyOf(m2, cfg) {
+		t.Fatal("machines built from one spec have different pool keys")
+	}
+	if keyOf(m1, cfg) == keyOf(topology.Uniform(4, 8), cfg) {
+		t.Fatal("machines of different geometry share a pool key")
+	}
+	run := func(h *Hierarchy) []Result {
+		out := make([]Result, 0, 6000)
+		for i := 0; i < 6000; i++ {
+			cpu := topology.CPUID(i * 7 % m2.NumCPUs())
+			addr := 0x200000 + uint64((i*2654435761)%(1<<18))&^63
+			out = append(out, h.Access(cpu, addr))
+		}
+		return out
+	}
+	h1, err := NewHierarchy(m1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(h1)
+	h1.Release()
+	h2, err := NewHierarchy(m2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Release()
+	if h2 != h1 {
+		t.Fatal("a hierarchy released on one machine was not recycled for its twin")
+	}
+	fresh, err := NewHierarchy(m2, cfg) // the pool is empty again: a build
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh == h1 {
+		t.Fatal("one pooled hierarchy handed out twice")
+	}
+	got, want := run(h2), run(fresh)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("access %d on the recycled hierarchy = %+v, fresh build = %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestHierPoolBounded releases hierarchies for more machine+config shapes
 // than the pool retains and checks that both bounds hold: at most
 // poolMaxKeys distinct shapes survive (LRU eviction), and no shape stacks

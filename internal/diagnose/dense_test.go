@@ -63,9 +63,9 @@ func denseTrace(n int, seed int64) []pebs.Sample {
 			addr = 0x10 // below every range: unattributed
 		}
 		samples[i] = pebs.Sample{
-			Time: float64(i), Addr: addr,
+			Time: int64(i), Addr: addr,
 			Level:   levels[rng.Intn(len(levels))],
-			Latency: float64(100 + rng.Intn(500)),
+			Latency: int64(100 + rng.Intn(500)),
 			SrcNode: topology.NodeID(rng.Intn(4)), HomeNode: topology.NodeID(rng.Intn(4)),
 		}
 	}

@@ -51,7 +51,7 @@ func TestTimelineForkMergeMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	samples := make([]pebs.Sample, 3000)
 	for i := range samples {
-		samples[i] = mkSample(float64(i), rng.Intn(3) > 0, (100+1400*rng.Float64())*(0.8+0.4*rng.Float64()))
+		samples[i] = mkSample(int64(i), rng.Intn(3) > 0, int64(100+rng.Intn(1400)))
 	}
 	const n, weight = 32, 2.5
 	want := Timeline(samples, n, weight)
@@ -139,7 +139,7 @@ func randomParts(rng *rand.Rand, samples []pebs.Sample) [][]pebs.Sample {
 }
 
 // TestTimelineMergeProperty is the one-pass timeline's contract. For
-// random sample sets over spans from a few cycles to ±1e300:
+// random sample sets over spans from a few cycles to the whole int64 range:
 //   - any chunking merged through any merge tree gives identical buckets;
 //   - there are at most n buckets, and at least n/2 unless the buckets are
 //     one cycle wide;
@@ -149,15 +149,15 @@ func randomParts(rng *rand.Rand, samples []pebs.Sample) [][]pebs.Sample {
 func TestTimelineMergeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const weight = 2.5
-	spans := []struct{ origin, span float64 }{
-		{0, 5}, {0, 1000}, {1e9, 3e6}, {-5e5, 1e6}, {-7.5, 3}, {1e300, 1e290}, {-1e300, 2e300},
+	spans := []struct{ origin, span int64 }{
+		{0, 5}, {0, 1000}, {1e9, 3e6}, {-5e5, 1e6}, {-8, 3}, {1 << 62, 1 << 60}, {-1 << 62, math.MaxInt64},
 	}
 	for trial := 0; trial < 200; trial++ {
 		sp := spans[trial%len(spans)]
 		n := []int{2, 3, 4, 7, 32}[rng.Intn(5)]
 		samples := make([]pebs.Sample, 1+rng.Intn(400))
 		for i := range samples {
-			samples[i] = mkSample(sp.origin+sp.span*rng.Float64(), rng.Intn(2) == 0, 100+1000*rng.Float64())
+			samples[i] = mkSample(sp.origin+rng.Int63n(sp.span), rng.Intn(2) == 0, int64(100+rng.Intn(1000)))
 		}
 		want := Timeline(samples, n, weight)
 
@@ -178,11 +178,11 @@ func TestTimelineMergeProperty(t *testing.T) {
 		if mass != float64(len(samples))*weight {
 			t.Fatalf("trial %d: mass %v, want %v", trial, mass, float64(len(samples))*weight)
 		}
-		if math.Abs(sp.origin) < 1e12 {
+		if sp.origin < 1e12 && sp.origin > -1e12 {
 			counts := make([]float64, len(want))
 			for _, s := range samples {
 				for i, b := range want {
-					if s.Time >= b.Start && s.Time < b.End {
+					if t := float64(s.Time); t >= b.Start && t < b.End {
 						counts[i] += weight
 					}
 				}
@@ -205,8 +205,11 @@ func TestTimelineMergeProperty(t *testing.T) {
 			}
 		}
 		other := []pebs.Sample{maxS, minS}
-		for i := 0; i < rng.Intn(50); i++ {
-			other = append(other, mkSample(minS.Time+(maxS.Time-minS.Time)*rng.Float64(), true, 300))
+		// The unsigned difference is the exact span, even past MaxInt64.
+		if d := uint64(maxS.Time - minS.Time); d > 0 {
+			for i := 0; i < rng.Intn(50); i++ {
+				other = append(other, mkSample(minS.Time+int64(rng.Uint64()%d), true, 300))
+			}
 		}
 		got := Timeline(other, n, weight)
 		if len(got) != len(want) {
@@ -220,27 +223,27 @@ func TestTimelineMergeProperty(t *testing.T) {
 	}
 }
 
-// FuzzTimelineMerge: arbitrary times — non-finite ones included, which are
-// skipped — split into arbitrary chunks and merged in arbitrary order give
-// the same buckets as a single accumulator.
+// FuzzTimelineMerge: arbitrary int64 times, the extremes included, split
+// into arbitrary chunks and merged in arbitrary order give the same buckets
+// as a single accumulator, and every sample is counted.
 func FuzzTimelineMerge(f *testing.F) {
-	times := func(ts ...float64) []byte {
+	times := func(ts ...int64) []byte {
 		var b []byte
 		for _, t := range ts {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t))
+			b = binary.LittleEndian.AppendUint64(b, uint64(t))
 		}
 		return b
 	}
 	f.Add(times(0, 1, 2, 100, 1e9), int64(1), uint8(32))
-	f.Add(times(-1e300, 1e300, 5, -5e-324, 5e-324), int64(2), uint8(4))
-	f.Add(times(math.NaN(), math.Inf(1), 3, -math.MaxFloat64, math.MaxFloat64), int64(3), uint8(1))
-	f.Add(times(1e15, 1e15+1, 1e15+4096, -0.0, 0), int64(4), uint8(3))
+	f.Add(times(-1<<62, 1<<62, 5, -1, 1), int64(2), uint8(4))
+	f.Add(times(math.MinInt64, math.MaxInt64, 3, math.MinInt64+1, math.MaxInt64-1), int64(3), uint8(1))
+	f.Add(times(1e15, 1e15+1, 1e15+4096, 0), int64(4), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64, nb uint8) {
 		n := int(nb%64) + 1
 		var samples []pebs.Sample
 		for i := 0; i+8 <= len(data) && len(samples) < 1024; i += 8 {
-			ts := math.Float64frombits(binary.LittleEndian.Uint64(data[i:]))
-			samples = append(samples, mkSample(ts, i%16 == 0, float64(i)))
+			ts := int64(binary.LittleEndian.Uint64(data[i:]))
+			samples = append(samples, mkSample(ts, i%16 == 0, int64(i)))
 		}
 		want := Timeline(samples, n, 1)
 		rng := rand.New(rand.NewSource(seed))
@@ -248,18 +251,12 @@ func FuzzTimelineMerge(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("merged timeline differs from one accumulator\n got %+v\nwant %+v", got, want)
 		}
-		finite := 0
-		for _, s := range samples {
-			if !math.IsNaN(s.Time) && !math.IsInf(s.Time, 0) {
-				finite++
-			}
-		}
 		var mass float64
 		for _, b := range want {
 			mass += b.Samples
 		}
-		if mass != float64(finite) || len(want) > max(n, 2) {
-			t.Fatalf("%d buckets hold %v samples, want at most %d buckets holding %d", len(want), mass, max(n, 2), finite)
+		if mass != float64(len(samples)) || len(want) > max(n, 2) {
+			t.Fatalf("%d buckets hold %v samples, want at most %d buckets holding %d", len(want), mass, max(n, 2), len(samples))
 		}
 	})
 }

@@ -19,8 +19,8 @@ func contentionTrace(t *testing.T, n int, seed int64) ([]pebs.Sample, *CFAccumul
 	samples := make([]pebs.Sample, n)
 	for i := range samples {
 		s := memSample(h, ids[rng.Intn(len(ids))], uint64(rng.Intn(1<<20)), topology.NodeID(rng.Intn(4)), 0)
-		s.Time = float64(i * 50)
-		s.Latency = float64(200 + rng.Intn(700))
+		s.Time = int64(i * 50)
+		s.Latency = int64(200 + rng.Intn(700))
 		if rng.Intn(5) == 0 {
 			s.Addr = 0x10 // below the heap: unattributed
 		}
@@ -87,7 +87,7 @@ func TestTimelineAccumulatorMatchesTimeline(t *testing.T) {
 		for _, presize := range []bool{false, true} {
 			acc := NewTimelineAccumulator(n, weight)
 			if presize {
-				acc.ObserveRange(minT, maxT, len(samples))
+				acc.ObserveRange(float64(minT), float64(maxT), len(samples))
 			}
 			for start := 0; start < len(samples); start += chunk {
 				acc.Add(samples[start:min(start+chunk, len(samples))])

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"drbw/internal/pebs"
-	"drbw/internal/xsum"
 )
 
 // Bucket is one time slice of a profiled run.
@@ -32,27 +31,23 @@ func Timeline(samples []pebs.Sample, n int, weight float64) []Bucket {
 	return acc.Buckets()
 }
 
-// maxWidthExp caps the bucket width at 2^1024 cycles. At that width every
-// finite time lands in bucket -1 or 0, so folding always terminates.
-const maxWidthExp = 1024
-
 // TimelineAccumulator is the one-pass streaming form of Timeline. Bucket k
-// covers [k·w, (k+1)·w), where the width w = 2^e is the smallest power of
-// two (at least 1 cycle) for which floor(maxT/w) − floor(minT/w) < n. The
-// geometry grows with the data: when a sample falls outside the current
-// window, adjacent buckets fold in pairs (k → k>>1) and w doubles, so no
-// global time range is needed before the first sample is counted.
+// covers [k·w, (k+1)·w) cycles, where the width w = 2^e is the smallest
+// power of two (at least 1 cycle) for which (maxT>>e) − (minT>>e) < n.
+// Sample times are whole cycles, so a sample's bucket is the integer shift
+// t>>e. The geometry grows with the data: when a sample falls outside the
+// current window, adjacent buckets fold in pairs (k → k>>1) and w doubles,
+// so no global time range is needed before the first sample is counted.
 //
-// Counts are integers and the latency mass is an exact xsum total, and
-// folding only adds them, so the buckets are a function of the sample
-// multiset alone — chunking, shard splits, worker count and merge order
-// never show in the output. State stays bounded by the bucket count.
+// Counts and the latency mass are exact integers, and folding only adds
+// them, so the buckets are a function of the sample multiset alone —
+// chunking, shard splits, worker count and merge order never show in the
+// output. State stays bounded by the bucket count.
 type TimelineAccumulator struct {
 	n      int
 	weight float64
-	e      int     // bucket width exponent: w = 2^e
-	inv    float64 // 2^-e
-	base   float64 // bucket index of slot 0; NaN until the first sample
+	e      uint  // bucket width exponent: w = 2^e, at most 63
+	base   int64 // bucket index of slot 0
 	// win holds the buckets [base, base+len); spare is the fold target,
 	// swapped in by regrid.
 	win, spare timelineWindow
@@ -61,30 +56,18 @@ type TimelineAccumulator struct {
 // timelineWindow is the exact state of a run of buckets: sample and
 // remote-sample counts and the remote latency mass, one slot per bucket.
 type timelineWindow struct {
-	samples, remote []int64
-	lat             []xsum.Sum
+	samples, remote, lat []int64
 }
 
 func newTimelineWindow(n int) timelineWindow {
-	return timelineWindow{samples: make([]int64, n), remote: make([]int64, n), lat: make([]xsum.Sum, n)}
+	return timelineWindow{samples: make([]int64, n), remote: make([]int64, n), lat: make([]int64, n)}
 }
 
 // addTo folds slot i into slot j of dst.
 func (w *timelineWindow) addTo(i int, dst *timelineWindow, j int) {
 	dst.samples[j] += w.samples[i]
 	dst.remote[j] += w.remote[i]
-	dst.lat[j].Merge(&w.lat[i])
-}
-
-// moveTo folds slot i into slot j of dst and empties slot i.
-func (w *timelineWindow) moveTo(i int, dst *timelineWindow, j int) {
-	if dst.samples[j] == 0 {
-		dst.samples[j], dst.remote[j] = w.samples[i], w.remote[i]
-		dst.lat[j] = w.lat[i] // moves ownership of the sum's limbs
-	} else {
-		w.addTo(i, dst, j)
-	}
-	w.samples[i], w.remote[i], w.lat[i] = 0, 0, xsum.Sum{}
+	dst.lat[j] += w.lat[i]
 }
 
 // NewTimelineAccumulator prepares a timeline of at most n buckets. weight
@@ -93,7 +76,7 @@ func NewTimelineAccumulator(n int, weight float64) *TimelineAccumulator {
 	if weight <= 0 {
 		weight = 1
 	}
-	t := &TimelineAccumulator{n: n, weight: weight, inv: 1, base: math.NaN()}
+	t := &TimelineAccumulator{n: n, weight: weight}
 	if n > 0 {
 		// One spare slot when n == 1: a span straddling zero still needs
 		// two buckets at the widest width.
@@ -102,53 +85,38 @@ func NewTimelineAccumulator(n int, weight float64) *TimelineAccumulator {
 	return t
 }
 
-// floorDiv returns floor(x·inv) for inv a power of two, exactly. The
-// product is exact unless it underflows, and then only its sign matters:
-// a tiny negative x that rounds to -0 still belongs to bucket -1.
-func floorDiv(x, inv float64) float64 {
-	k := math.Floor(x * inv)
-	if k == 0 && x < 0 {
-		k = -1
-	}
-	return k
-}
-
 // ObserveRange pre-sizes the bucket geometry for samples spanning
-// [minT, maxT], so a caller that knows the bounds up front skips the
-// folds. Pre-sizing never changes the output when the
-// bounds are the samples' own; wider bounds can only widen the buckets.
-// n is the number of samples the range covers; n ≤ 0 is a no-op.
+// [minT, maxT] cycles, so a caller that knows the bounds up front skips
+// the folds. Pre-sizing never changes the output when the bounds are the
+// samples' own; wider bounds can only widen the buckets. n is the number
+// of samples the range covers; n ≤ 0, an inverted range or bounds outside
+// the int64 cycle range are a no-op.
 func (t *TimelineAccumulator) ObserveRange(minT, maxT float64, n int) {
-	if n <= 0 || t.n <= 0 || !(minT <= maxT) || math.IsInf(minT, 0) || math.IsInf(maxT, 0) {
+	if n <= 0 || t.n <= 0 || !(minT <= maxT) || !(minT >= math.MinInt64) || !(maxT < math.MaxInt64) {
 		return
 	}
-	t.cover(t.e, floorDiv(minT, t.inv), floorDiv(maxT, t.inv))
+	t.cover(t.e, int64(math.Floor(minT))>>t.e, int64(math.Floor(maxT))>>t.e)
 }
 
-// Add buckets a chunk of samples. Non-finite times have no bucket and are
-// skipped; the analysis pipeline rejects them before they get here.
+// Add buckets a chunk of samples.
 func (t *TimelineAccumulator) Add(samples []pebs.Sample) {
 	if t.n <= 0 {
 		return
 	}
-	inv, base, n, w := t.inv, t.base, float64(t.n), t.win
+	e, base, n, w := t.e, t.base, uint64(t.n), t.win
 	for i := range samples {
 		s := &samples[i]
-		rel := floorDiv(s.Time, inv) - base
-		if !(rel >= 0 && rel < n) {
-			if math.IsNaN(s.Time) || math.IsInf(s.Time, 0) {
-				continue
-			}
-			k := floorDiv(s.Time, inv)
-			t.cover(t.e, k, k)
-			inv, base, w = t.inv, t.base, t.win
-			rel = floorDiv(s.Time, inv) - base
+		k := s.Time >> e
+		if k < base || uint64(k-base) >= n {
+			t.cover(e, k, k)
+			e, base, w = t.e, t.base, t.win
+			k = s.Time >> e
 		}
-		j := int(rel)
+		j := k - base
 		w.samples[j]++
 		if s.RemoteDRAM() {
 			w.remote[j]++
-			w.lat[j].Add(s.Latency)
+			w.lat[j] += s.Latency
 		}
 	}
 }
@@ -167,56 +135,47 @@ func (t *TimelineAccumulator) occupied() (lo, hi int, ok bool) {
 	return lo, hi, lo >= 0
 }
 
-// shiftFloor returns floor(k / 2^f) for an integer-valued k.
-func shiftFloor(k float64, f int) float64 {
-	if f == 0 {
-		return k
-	}
-	return floorDiv(k, math.Ldexp(1, -f))
-}
-
 // cover widens the geometry until the window holds both the occupied
 // buckets and the bucket indices [kmin, kmax], given at width 2^e: first
-// to at least width 2^e, then doubling while the span is n or more.
-func (t *TimelineAccumulator) cover(e int, kmin, kmax float64) {
-	f := 0
+// to at least width 2^e, then doubling while the span is n or more. At
+// width 2^63 every time lands in bucket -1 or 0, which the window always
+// holds, so folding stops there.
+func (t *TimelineAccumulator) cover(e uint, kmin, kmax int64) {
+	var f uint
 	if e > t.e {
 		f = e - t.e
 	} else {
-		kmin, kmax = shiftFloor(kmin, t.e-e), shiftFloor(kmax, t.e-e)
+		kmin, kmax = kmin>>(t.e-e), kmax>>(t.e-e)
 	}
-	if lo, hi, ok := t.occupied(); ok {
-		kmin = math.Min(kmin, shiftFloor(t.base+float64(lo), f))
-		kmax = math.Max(kmax, shiftFloor(t.base+float64(hi), f))
+	lo, hi, ok := t.occupied()
+	if ok {
+		kmin = min(kmin, (t.base+int64(lo))>>f)
+		kmax = max(kmax, (t.base+int64(hi))>>f)
 	}
-	for kmax-kmin >= float64(t.n) && t.e+f < maxWidthExp {
-		kmin, kmax = math.Floor(kmin/2), math.Floor(kmax/2)
+	// kmax ≥ kmin, so the unsigned difference is the exact span.
+	for uint64(kmax-kmin) >= uint64(t.n) && t.e+f < 63 {
+		kmin, kmax = kmin>>1, kmax>>1
 		f++
 	}
-	if f == 0 && kmin >= t.base && kmax-t.base < float64(len(t.win.samples)) {
+	if f == 0 && kmin >= t.base && uint64(kmax-t.base) < uint64(len(t.win.samples)) {
 		return // already covered
 	}
-	t.regrid(f, kmin)
-}
-
-// regrid folds the window by f doublings and rebases it to start at
-// bucket index base (at the new width). Every occupied bucket must land
-// inside the new window.
-func (t *TimelineAccumulator) regrid(f int, base float64) {
-	if lo, hi, ok := t.occupied(); ok {
+	// Fold the window by f doublings and rebase it to start at bucket
+	// kmin of the new width; every occupied bucket lands inside it.
+	if ok {
 		if t.spare.samples == nil {
 			t.spare = newTimelineWindow(len(t.win.samples))
 		}
 		for i := lo; i <= hi; i++ {
 			if t.win.samples[i] != 0 {
-				t.win.moveTo(i, &t.spare, int(shiftFloor(t.base+float64(i), f)-base))
+				t.win.addTo(i, &t.spare, int((t.base+int64(i))>>f-kmin))
+				t.win.samples[i], t.win.remote[i], t.win.lat[i] = 0, 0, 0
 			}
 		}
 		t.win, t.spare = t.spare, t.win
 	}
 	t.e += f
-	t.inv = math.Ldexp(1, -t.e)
-	t.base = base
+	t.base = kmin
 }
 
 // Merge folds o into t, first aligning both to the wider bucket width.
@@ -232,22 +191,22 @@ func (t *TimelineAccumulator) Merge(o *TimelineAccumulator) error {
 	if !ok {
 		return nil
 	}
-	t.cover(o.e, o.base+float64(lo), o.base+float64(hi))
+	t.cover(o.e, o.base+int64(lo), o.base+int64(hi))
 	f := t.e - o.e
 	for i := lo; i <= hi; i++ {
 		if o.win.samples[i] != 0 {
-			o.win.addTo(i, &t.win, int(shiftFloor(o.base+float64(i), f)-t.base))
+			o.win.addTo(i, &t.win, int((o.base+int64(i))>>f-t.base))
 		}
 	}
 	return nil
 }
 
 // Buckets finalizes and returns the timeline: one bucket per index from
-// floor(minT/w) to floor(maxT/w), between n/2 and n of them unless the
-// whole run spans fewer than n cycles (nil when no samples were added).
-// Weighted counts are count×weight products and the average latency is
-// the exact latency mass over the exact count, so finalization is as
-// order-blind as the accumulation.
+// minT>>e to maxT>>e, between n/2 and n of them unless the whole run spans
+// fewer than n cycles (nil when no samples were added). Weighted counts
+// are count×weight products and the average latency is the exact latency
+// mass over the exact count, so finalization is as order-blind as the
+// accumulation.
 func (t *TimelineAccumulator) Buckets() []Bucket {
 	lo, hi, ok := t.occupied()
 	if !ok {
@@ -256,13 +215,13 @@ func (t *TimelineAccumulator) Buckets() []Bucket {
 	out := make([]Bucket, hi-lo+1)
 	for i := range out {
 		j := lo + i
-		k := t.base + float64(j)
-		out[i].Start = math.Ldexp(k, t.e)
-		out[i].End = math.Ldexp(k+1, t.e)
+		k := float64(t.base + int64(j))
+		out[i].Start = math.Ldexp(k, int(t.e))
+		out[i].End = math.Ldexp(k+1, int(t.e))
 		out[i].Samples = float64(t.win.samples[j]) * t.weight
 		out[i].RemoteSamples = float64(t.win.remote[j]) * t.weight
 		if r := t.win.remote[j]; r > 0 {
-			out[i].AvgRemoteLatency = t.win.lat[j].Value() / float64(r)
+			out[i].AvgRemoteLatency = float64(t.win.lat[j]) / float64(r)
 		}
 	}
 	return out

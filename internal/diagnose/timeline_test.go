@@ -9,7 +9,7 @@ import (
 	"drbw/internal/pebs"
 )
 
-func mkSample(t float64, remote bool, lat float64) pebs.Sample {
+func mkSample(t int64, remote bool, lat int64) pebs.Sample {
 	s := pebs.Sample{Time: t, Latency: lat, Level: cache.MEM, SrcNode: 1, HomeNode: 1}
 	if remote {
 		s.HomeNode = 0
@@ -20,13 +20,13 @@ func mkSample(t float64, remote bool, lat float64) pebs.Sample {
 func TestTimelineBuckets(t *testing.T) {
 	// Remote pressure only in the second half of the run. 128 cycles over 4
 	// buckets gives width 32: the smallest power of two for which
-	// floor(127/w) - floor(0/w) < 4.
+	// 127>>e - 0>>e < 4.
 	var samples []pebs.Sample
 	for i := 0; i < 64; i++ {
-		samples = append(samples, mkSample(float64(i), false, 200))
+		samples = append(samples, mkSample(int64(i), false, 200))
 	}
 	for i := 64; i < 128; i++ {
-		samples = append(samples, mkSample(float64(i), true, 900))
+		samples = append(samples, mkSample(int64(i), true, 900))
 	}
 	buckets := Timeline(samples, 4, 1)
 	if len(buckets) != 4 {
@@ -88,20 +88,23 @@ func TestTimelineEdgeCases(t *testing.T) {
 	if len(b) != 1 || b[0].Start != 5 || b[0].End != 6 || b[0].Samples != 1 {
 		t.Fatalf("single instant: %+v", b)
 	}
-	// Negative times bucket by floor: [-3, -1] at width 1 is three buckets.
+	// Negative times bucket by floor: [-3, -1] at width 1 is three buckets,
+	// and at width 2 -3 lands in [-4, -2).
 	b = Timeline([]pebs.Sample{mkSample(-3, true, 100), mkSample(-1, true, 100)}, 4, 1)
 	if len(b) != 3 || b[0].Start != -3 || b[2].End != 0 {
 		t.Fatalf("negative span: %+v", b)
 	}
-	// Non-finite times have no bucket.
-	b = Timeline([]pebs.Sample{mkSample(math.NaN(), true, 100), mkSample(math.Inf(1), true, 100), mkSample(7, true, 100)}, 4, 1)
-	if len(b) != 1 || b[0].Samples != 1 {
-		t.Fatalf("non-finite times: %+v", b)
+	b = Timeline([]pebs.Sample{mkSample(-3, true, 100), mkSample(0, true, 100)}, 2, 1)
+	if len(b) != 2 || b[0].Start != -4 || b[0].End != 0 || b[1].End != 4 {
+		t.Fatalf("negative span at width 4: %+v", b)
 	}
-	// Times at the ends of the float64 range fit without overflow.
-	b = Timeline([]pebs.Sample{mkSample(-math.MaxFloat64, true, 100), mkSample(math.MaxFloat64, true, 100)}, 2, 1)
-	if len(b) != 2 || b[0].Samples != 1 || b[1].Samples != 1 {
-		t.Fatalf("full float64 range: %+v", b)
+	// Times at the ends of the int64 range fit without overflow, in either
+	// order (the second sample lies below the first one's window).
+	for _, ts := range [][2]int64{{math.MinInt64, math.MaxInt64}, {math.MaxInt64, math.MinInt64}} {
+		b = Timeline([]pebs.Sample{mkSample(ts[0], true, 100), mkSample(ts[1], true, 100)}, 2, 1)
+		if len(b) != 2 || b[0].Samples != 1 || b[1].Samples != 1 || b[0].Start != -(1<<63) {
+			t.Fatalf("full int64 range %v: %+v", ts, b)
+		}
 	}
 	// n = 1 still covers a span that straddles zero at the widest width.
 	b = Timeline([]pebs.Sample{mkSample(-1, true, 100), mkSample(1, true, 100)}, 1, 1)

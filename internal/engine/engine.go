@@ -92,12 +92,6 @@ type Config struct {
 	// GOMAXPROCS; 1 forces the serial path. Values above the bound-node
 	// count add nothing. The integration stage is serial either way.
 	Workers int
-	// Reference selects the slow map-based reference implementation of the
-	// window and integration stages instead of the dense-indexed fast path.
-	// Both paths share the same randomness discipline and must produce
-	// bit-identical results; equivalence tests run every scenario through
-	// both. Production callers leave this false.
-	Reference bool
 }
 
 func (c Config) withDefaults() Config {
@@ -260,6 +254,10 @@ type Engine struct {
 	// gauges are the cached per-channel utilization gauges (metrics.go),
 	// published at phase boundaries.
 	gauges *chanGauges
+
+	// reference, when set, runs in place of Run: the map-based equivalence
+	// oracle that only in-package tests install.
+	reference func(phases []trace.Phase, bind Binding) (*Result, error)
 }
 
 // New builds an engine. hcfg selects the cache geometry (zero value =
@@ -391,26 +389,20 @@ func xorshift64(x uint64) uint64 {
 // Run executes phases with the given thread binding. Every phase must have
 // exactly len(bind) thread specs.
 func (e *Engine) Run(phases []trace.Phase, bind Binding) (*Result, error) {
-	if len(bind) == 0 {
-		return nil, fmt.Errorf("engine: empty binding")
+	if e.reference != nil {
+		return e.reference(phases, bind)
 	}
-	for _, cpu := range bind {
-		if e.machine.NodeOfCPU(cpu) == topology.InvalidNode {
-			return nil, fmt.Errorf("engine: binding references invalid CPU %d", cpu)
-		}
+	if err := e.checkBinding(bind); err != nil {
+		return nil, err
 	}
 	res := &Result{}
 	now := 0.0
 	var st runStats
 	// Causal tracing at phase granularity only: the span handles are no-ops
 	// unless an exporter is installed, so the window and integration loops
-	// stay untouched and the allocation gate holds. The reference oracle
-	// stays silent, mirroring the metrics policy.
-	var sp obs.SpanHandle
-	if !e.cfg.Reference {
-		sp = obs.BeginSpan("engine.run")
-		sp.SetInt("phases", int64(len(phases)))
-	}
+	// stay untouched and the allocation gate holds.
+	sp := obs.BeginSpan("engine.run")
+	sp.SetInt("phases", int64(len(phases)))
 	rng := rand.New(rand.NewSource(int64(e.cfg.Seed) ^ 0x51ed2701))
 	for pi, ph := range phases {
 		if len(ph.Threads) != len(bind) {
@@ -441,22 +433,27 @@ func (e *Engine) Run(phases []trace.Phase, bind Binding) (*Result, error) {
 		}
 	}
 	res.Cycles = now
-	if !e.cfg.Reference {
-		sp.SetFloat("cycles", now)
-		sp.End()
-		st.merge()
-	}
+	sp.SetFloat("cycles", now)
+	sp.End()
+	st.merge()
 	return res, nil
 }
 
-func (e *Engine) runPhase(ph trace.Phase, bind Binding, start float64, rng *rand.Rand, phaseIdx uint64, st *runStats) (*PhaseResult, error) {
-	if e.cfg.Reference {
-		profiles, err := e.windowRef(ph, bind, phaseIdx)
-		if err != nil {
-			return nil, err
-		}
-		return e.integrateRef(ph, bind, profiles, start, rng)
+// checkBinding rejects an empty binding or one naming a CPU the machine
+// lacks.
+func (e *Engine) checkBinding(bind Binding) error {
+	if len(bind) == 0 {
+		return fmt.Errorf("engine: empty binding")
 	}
+	for _, cpu := range bind {
+		if e.machine.NodeOfCPU(cpu) == topology.InvalidNode {
+			return fmt.Errorf("engine: binding references invalid CPU %d", cpu)
+		}
+	}
+	return nil
+}
+
+func (e *Engine) runPhase(ph trace.Phase, bind Binding, start float64, rng *rand.Rand, phaseIdx uint64, st *runStats) (*PhaseResult, error) {
 	st.phases++
 	profiles, err := e.window(ph, bind, phaseIdx, st)
 	if err != nil {
@@ -725,25 +722,8 @@ func (e *Engine) inflation(u float64) float64 {
 	}
 }
 
-// pairInflation combines the link and target-controller pressure of a
-// (src,dst) pair: the binding (most loaded) resource dominates the queue.
-func (e *Engine) pairInflation(pair topology.Channel, util map[topology.Channel]float64) float64 {
-	u := util[topology.Channel{Src: pair.Dst, Dst: pair.Dst}]
-	if !pair.Local() {
-		if lu := util[pair]; lu > u {
-			u = lu
-		}
-	}
-	return e.inflation(u)
-}
-
-// pairLatency is the effective DRAM latency of a pair under the current
-// offered utilizations.
-func (e *Engine) pairLatency(pair topology.Channel, util map[topology.Channel]float64) float64 {
-	return e.pairBaseLatency(pair) * e.pairInflation(pair, util)
-}
-
-// pairInflationCi is pairInflation over the dense utilization table.
+// pairInflationCi combines the link and target-controller pressure of
+// channel ci: the binding (most loaded) resource dominates the queue.
 func (e *Engine) pairInflationCi(ci int, util []float64) float64 {
 	dl := e.dstLoc[ci]
 	u := util[dl]
@@ -1029,13 +1009,14 @@ func (e *Engine) emitSample(thread int, cpu topology.CPUID, node topology.NodeID
 	} else {
 		l *= 0.8 + 0.4*rng.Float64()
 	}
+	// The PMU reports whole cycles: round time and latency once, here.
 	s := pebs.Sample{
-		Time:    t,
+		Time:    int64(math.Round(t)),
 		CPU:     cpu,
 		Thread:  thread,
 		Addr:    rec.addr(),
 		Level:   rec.level(),
-		Latency: l,
+		Latency: int64(math.Round(l)),
 		Write:   rec.write(),
 	}
 	pebs.Resolve(&s, e.machine, e.space)

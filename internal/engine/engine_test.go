@@ -55,11 +55,19 @@ func scanWorkload(t *testing.T, m *topology.Machine, threads int, pol memsim.Pol
 }
 
 func runScan(t *testing.T, m *topology.Machine, threads, nodes int, pol memsim.Policy, cfg Config) (*Result, *memsim.AddressSpace) {
+	return runScanOn(t, m, threads, nodes, pol, cfg, false)
+}
+
+// runScanOn is runScan, through the reference oracle when ref is set.
+func runScanOn(t *testing.T, m *topology.Machine, threads, nodes int, pol memsim.Policy, cfg Config, ref bool) (*Result, *memsim.AddressSpace) {
 	t.Helper()
 	as, ph, _, _ := scanWorkload(t, m, threads, pol, 2e6)
 	e, err := New(m, as, smallCaches(), cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ref {
+		useReference(e)
 	}
 	bind, err := EvenBinding(m, threads, nodes)
 	if err != nil {
@@ -277,10 +285,10 @@ func TestSamplingProducesPlausibleSamples(t *testing.T) {
 			t.Fatalf("sample address %#x not mapped", s.Addr)
 		}
 		if s.Latency < pebs.DefaultLatencyThreshold {
-			t.Fatalf("sample below latency threshold: %f", s.Latency)
+			t.Fatalf("sample below latency threshold: %d", s.Latency)
 		}
-		if s.Time < 0 || s.Time > res.Cycles*1.01 {
-			t.Fatalf("sample time %.0f outside run [0,%.0f]", s.Time, res.Cycles)
+		if s.Time < 0 || float64(s.Time) > res.Cycles*1.01 {
+			t.Fatalf("sample time %d outside run [0,%.0f]", s.Time, res.Cycles)
 		}
 		if s.RemoteDRAM() {
 			remote++

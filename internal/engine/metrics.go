@@ -17,8 +17,7 @@ import (
 // concurrent batch workers never contend inside a simulation and
 // BenchmarkEngineContendedRun's allocation profile is unchanged.
 //
-// The reference implementation (Config.Reference) is a test-only
-// equivalence oracle and records no metrics.
+// The map-based reference oracle (reference_test.go) records no metrics.
 var (
 	mRuns     = obs.Default.Counter("engine.runs")
 	mPhases   = obs.Default.Counter("engine.phases")

@@ -98,13 +98,12 @@ func TestMetricsReconcileWithResult(t *testing.T) {
 // equivalence oracle stays un-instrumented.
 func TestReferencePathRecordsNoMetrics(t *testing.T) {
 	m := topology.XeonE5_4650()
-	cfg := testConfig(3)
-	cfg.Reference = true
 	as, ph, _, _ := scanWorkload(t, m, 4, memsim.BindTo(0), 1e6)
-	e, err := New(m, as, smallCaches(), cfg)
+	e, err := New(m, as, smallCaches(), testConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	useReference(e)
 	bind, err := EvenBinding(m, 4, 1)
 	if err != nil {
 		t.Fatal(err)

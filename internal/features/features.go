@@ -24,7 +24,6 @@ import (
 	"drbw/internal/cache"
 	"drbw/internal/pebs"
 	"drbw/internal/topology"
-	"drbw/internal/xsum"
 )
 
 // Label is the training/detection class of one run or channel.
@@ -71,30 +70,27 @@ var Names = [NumFeatures]string{
 	"line fill buffer access latency",
 }
 
-// latencyThresholds backs features 1-5.
-var latencyThresholds = [5]float64{1000, 500, 200, 100, 50}
+// latencyThresholds backs features 1-5, in whole cycles.
+var latencyThresholds = [5]int64{1000, 500, 200, 100, 50}
 
 // Extract computes the Table I vector for remote channel ch from the full
 // sample set of a run. weight scales sample counts back to true totals when
 // the collector used a reservoir (pebs.Collector.Weight).
 //
-// Latency sums run through xsum, like every analysis-path accumulator, so
-// the vector is a function of the sample multiset alone — the same bits as
-// the streaming Accumulator regardless of how either side chunks the trace.
+// Latencies are whole cycles, so every count and latency sum is an exact
+// int64 total: the vector is a function of the sample multiset alone — the
+// same bits as the streaming Accumulator regardless of how either side
+// chunks the trace.
 func Extract(samples []pebs.Sample, ch topology.Channel, weight float64) Vector {
-	if weight <= 0 {
-		weight = 1
-	}
-	var v Vector
-	var batch, remote, local, lfb float64
-	var latSum, remoteLat, localLat, lfbLat xsum.Sum
-	var above [5]float64
+	var batch, remote, local, lfb int64
+	var latSum, remoteLat, localLat, lfbLat int64
+	var above [5]int64
 	for _, s := range samples {
 		if s.SrcNode != ch.Src {
 			continue
 		}
 		batch++
-		latSum.Add(s.Latency)
+		latSum += s.Latency
 		for i, th := range latencyThresholds {
 			if s.Latency > th {
 				above[i]++
@@ -103,36 +99,49 @@ func Extract(samples []pebs.Sample, ch topology.Channel, weight float64) Vector 
 		switch {
 		case s.Level == cache.MEM && s.HomeNode == ch.Dst && !ch.Local():
 			remote++
-			remoteLat.Add(s.Latency)
+			remoteLat += s.Latency
 		case s.Level == cache.MEM && s.HomeNode == s.SrcNode:
 			local++
-			localLat.Add(s.Latency)
+			localLat += s.Latency
 		case s.Level == cache.LFB:
 			lfb++
-			lfbLat.Add(s.Latency)
+			lfbLat += s.Latency
 		}
 	}
+	return vector(weight, batch, latSum, above, remote, remoteLat, local, localLat, lfb, lfbLat)
+}
+
+// vector assembles one Table I vector from a channel's exact counts and
+// latency sums: the ratio features over the source batch, the count
+// features scaled by weight (non-positive means 1), and the averages.
+func vector(weight float64, batch, latSum int64, above [5]int64, remote, remoteLat, local, localLat, lfb, lfbLat int64) Vector {
+	var v Vector
 	if batch == 0 {
 		return v
 	}
+	if weight <= 0 {
+		weight = 1
+	}
 	for i := range above {
-		v[i] = above[i] / batch
+		v[i] = float64(above[i]) / float64(batch)
 	}
-	v[5] = remote * weight
-	if remote > 0 {
-		v[6] = remoteLat.Value() / remote
-	}
-	v[7] = local * weight
-	if local > 0 {
-		v[8] = localLat.Value() / local
-	}
-	v[9] = batch * weight
-	v[10] = latSum.Value() / batch
-	v[11] = lfb * weight
-	if lfb > 0 {
-		v[12] = lfbLat.Value() / lfb
-	}
+	v[5] = float64(remote) * weight
+	v[6] = mean(remoteLat, remote)
+	v[7] = float64(local) * weight
+	v[8] = mean(localLat, local)
+	v[9] = float64(batch) * weight
+	v[10] = mean(latSum, batch)
+	v[11] = float64(lfb) * weight
+	v[12] = mean(lfbLat, lfb)
 	return v
+}
+
+// mean is sum/n, 0 for an empty set.
+func mean(sum, n int64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return float64(sum) / float64(n)
 }
 
 // ChannelVectors computes one vector per remote channel that has at least
@@ -142,8 +151,8 @@ func Extract(samples []pebs.Sample, ch topology.Channel, weight float64) Vector 
 // either per-source-socket (shared by all channels of that socket) or per
 // directed channel, so one walk accumulates both and the vectors assemble at
 // the end — O(samples + channels) instead of Extract's O(channels × samples).
-// The output is bit-identical to calling Extract per channel: each
-// accumulator adds the same floats in the same (global sample) order.
+// The output is bit-identical to calling Extract per channel: both sum the
+// same integers exactly.
 func ChannelVectors(m *topology.Machine, samples []pebs.Sample, weight float64, minSamples int) map[topology.Channel]Vector {
 	acc := NewAccumulator(m)
 	acc.Add(samples)
@@ -152,10 +161,9 @@ func ChannelVectors(m *topology.Machine, samples []pebs.Sample, weight float64, 
 
 // Accumulator builds Table I channel vectors incrementally — the streaming
 // form of ChannelVectors. Feed it sample chunks with Add (a block iterator's
-// output, or one whole slice) and finish with Vectors. Counts are int64
-// (converted to float64 exactly at assembly time) and latency sums are
-// exact xsum accumulators, so the
-// result is bit-identical to a single ChannelVectors call over the same
+// output, or one whole slice) and finish with Vectors. Counts and latency
+// sums are exact int64 totals (converted to float64 at assembly time), so
+// the result is bit-identical to a single ChannelVectors call over the same
 // sample multiset — chunking, ordering and Merge trees do not matter —
 // while peak memory stays O(nodes²) regardless of trace length. An
 // Accumulator is not safe for concurrent use; Reset recycles one between
@@ -165,17 +173,17 @@ type Accumulator struct {
 	nn int
 	// Per-source-socket aggregates.
 	batch    []int64
-	latSum   []xsum.Sum
+	latSum   []int64
 	above    [][5]int64
 	local    []int64
-	localLat []xsum.Sum
+	localLat []int64
 	lfb      []int64
-	lfbLat   []xsum.Sum
+	lfbLat   []int64
 	// Per directed channel: remote-DRAM terms and the minSamples gate (the
 	// gate mirrors pebs.Associate, which files MEM/LFB samples under their
 	// src→home channel).
 	remote    []int64
-	remoteLat []xsum.Sum
+	remoteLat []int64
 	assoc     []int
 }
 
@@ -186,11 +194,11 @@ func NewAccumulator(m *topology.Machine) *Accumulator {
 	return &Accumulator{
 		m: m, nn: nn,
 		batch:  make([]int64, nn),
-		latSum: make([]xsum.Sum, nn),
+		latSum: make([]int64, nn),
 		above:  make([][5]int64, nn),
-		local:  make([]int64, nn), localLat: make([]xsum.Sum, nn),
-		lfb: make([]int64, nn), lfbLat: make([]xsum.Sum, nn),
-		remote: make([]int64, nch), remoteLat: make([]xsum.Sum, nch),
+		local:  make([]int64, nn), localLat: make([]int64, nn),
+		lfb: make([]int64, nn), lfbLat: make([]int64, nn),
+		remote: make([]int64, nch), remoteLat: make([]int64, nch),
 		assoc: make([]int, nch),
 	}
 }
@@ -198,25 +206,22 @@ func NewAccumulator(m *topology.Machine) *Accumulator {
 // Reset clears the running sums so the accumulator can take the next trace.
 func (a *Accumulator) Reset() {
 	for i := range a.batch {
-		a.batch[i] = 0
-		a.latSum[i].Reset()
+		a.batch[i], a.latSum[i] = 0, 0
 		a.above[i] = [5]int64{}
-		a.local[i], a.lfb[i] = 0, 0
-		a.localLat[i].Reset()
-		a.lfbLat[i].Reset()
+		a.local[i], a.localLat[i] = 0, 0
+		a.lfb[i], a.lfbLat[i] = 0, 0
 	}
 	for i := range a.remote {
-		a.remote[i], a.assoc[i] = 0, 0
-		a.remoteLat[i].Reset()
+		a.remote[i], a.remoteLat[i], a.assoc[i] = 0, 0, 0
 	}
 }
 
 // Merge folds other's running statistics into a, exactly as if other's
 // samples had been Added to a directly — the accumulator half of the
 // shard-parallel pipeline. Summation order is immaterial by construction:
-// counts are exact integer arithmetic and latency mass merges through
-// xsum's exact limb addition, so any merge tree over any partition of a
-// trace reproduces the serial accumulator bit for bit. other is logically
+// counts and latency sums are exact integer arithmetic, so any merge tree
+// over any partition of a trace reproduces the serial accumulator bit for
+// bit. other is logically
 // unchanged. Both accumulators must describe the same machine shape.
 func (a *Accumulator) Merge(other *Accumulator) error {
 	if a.nn != other.nn || len(a.remote) != len(other.remote) {
@@ -224,18 +229,18 @@ func (a *Accumulator) Merge(other *Accumulator) error {
 	}
 	for i := range a.batch {
 		a.batch[i] += other.batch[i]
-		a.latSum[i].Merge(&other.latSum[i])
+		a.latSum[i] += other.latSum[i]
 		for j := range a.above[i] {
 			a.above[i][j] += other.above[i][j]
 		}
 		a.local[i] += other.local[i]
-		a.localLat[i].Merge(&other.localLat[i])
+		a.localLat[i] += other.localLat[i]
 		a.lfb[i] += other.lfb[i]
-		a.lfbLat[i].Merge(&other.lfbLat[i])
+		a.lfbLat[i] += other.lfbLat[i]
 	}
 	for i := range a.remote {
 		a.remote[i] += other.remote[i]
-		a.remoteLat[i].Merge(&other.remoteLat[i])
+		a.remoteLat[i] += other.remoteLat[i]
 		a.assoc[i] += other.assoc[i]
 	}
 	return nil
@@ -255,7 +260,7 @@ func (a *Accumulator) Add(samples []pebs.Sample) {
 		}
 		lat := s.Latency
 		a.batch[src]++
-		a.latSum[src].Add(lat)
+		a.latSum[src] += lat
 		ab := &a.above[src]
 		for j := len(latencyThresholds) - 1; j >= 0 && lat > latencyThresholds[j]; j-- {
 			ab[j]++
@@ -267,17 +272,17 @@ func (a *Accumulator) Add(samples []pebs.Sample) {
 			if homeValid && home != src {
 				ci := src*nn + home
 				a.remote[ci]++
-				a.remoteLat[ci].Add(lat)
+				a.remoteLat[ci] += lat
 			} else if s.HomeNode == s.SrcNode {
 				a.local[src]++
-				a.localLat[src].Add(lat)
+				a.localLat[src] += lat
 			}
 			if homeValid {
 				a.assoc[src*nn+home]++
 			}
 		case cache.LFB:
 			a.lfb[src]++
-			a.lfbLat[src].Add(lat)
+			a.lfbLat[src] += lat
 			if homeValid {
 				a.assoc[src*nn+home]++
 			}
@@ -299,40 +304,15 @@ func (a *Accumulator) SampleCount() float64 {
 // MEM/LFB sample count is below minSamples are omitted. Vectors does not
 // consume the sums: the accumulator remains usable and appendable.
 func (a *Accumulator) Vectors(weight float64, minSamples int) map[topology.Channel]Vector {
-	if weight <= 0 {
-		weight = 1
-	}
 	out := make(map[topology.Channel]Vector)
 	for _, ch := range a.m.RemoteChannels() {
 		ci := a.m.ChannelIndex(ch)
 		if a.assoc[ci] < minSamples {
 			continue
 		}
-		var v Vector
 		src := int(ch.Src)
-		if a.batch[src] == 0 {
-			out[ch] = v
-			continue
-		}
-		batch := float64(a.batch[src])
-		for i := 0; i < 5; i++ {
-			v[i] = float64(a.above[src][i]) / batch
-		}
-		v[5] = float64(a.remote[ci]) * weight
-		if a.remote[ci] > 0 {
-			v[6] = a.remoteLat[ci].Value() / float64(a.remote[ci])
-		}
-		v[7] = float64(a.local[src]) * weight
-		if a.local[src] > 0 {
-			v[8] = a.localLat[src].Value() / float64(a.local[src])
-		}
-		v[9] = batch * weight
-		v[10] = a.latSum[src].Value() / batch
-		v[11] = float64(a.lfb[src]) * weight
-		if a.lfb[src] > 0 {
-			v[12] = a.lfbLat[src].Value() / float64(a.lfb[src])
-		}
-		out[ch] = v
+		out[ch] = vector(weight, a.batch[src], a.latSum[src], a.above[src],
+			a.remote[ci], a.remoteLat[ci], a.local[src], a.localLat[src], a.lfb[src], a.lfbLat[src])
 	}
 	return out
 }
@@ -357,19 +337,20 @@ func Candidates(samples []pebs.Sample, weight float64) map[string]float64 {
 	nodes := map[topology.NodeID]float64{}
 	var above [5]float64
 	for _, s := range samples {
-		latSum += s.Latency
+		lat := float64(s.Latency)
+		latSum += lat
 		levelCount[s.Level]++
-		levelLat[s.Level] += s.Latency
+		levelLat[s.Level] += lat
 		cpus[s.CPU]++
 		threads[s.Thread]++
 		nodes[s.SrcNode]++
 		if s.RemoteDRAM() {
 			remote++
-			remoteLat += s.Latency
+			remoteLat += lat
 		}
 		if s.LocalDRAM() {
 			local++
-			localLat += s.Latency
+			localLat += lat
 		}
 		for i, th := range latencyThresholds {
 			if s.Latency > th {

@@ -8,7 +8,7 @@ import (
 	"drbw/internal/topology"
 )
 
-func s(lat float64, lvl cache.Level, src, home topology.NodeID) pebs.Sample {
+func s(lat int64, lvl cache.Level, src, home topology.NodeID) pebs.Sample {
 	return pebs.Sample{Latency: lat, Level: lvl, SrcNode: src, HomeNode: home}
 }
 

@@ -4,20 +4,23 @@ import (
 	"math/rand"
 	"testing"
 
+	"drbw/internal/pebs"
 	"drbw/internal/topology"
 )
 
 // TestAccumulatorMergeMatchesSerial is the shard contract: partition the
 // trace at arbitrary boundaries, accumulate each part independently, merge
 // in arbitrary order, and the vectors must be bit-identical to one serial
-// accumulator — including with off-grid latencies where naive summation
-// would drift.
+// accumulator — including with latencies at the top of the 32-bit latency
+// field.
 func TestAccumulatorMergeMatchesSerial(t *testing.T) {
 	m := topology.Uniform(4, 2)
 	rng := rand.New(rand.NewSource(11))
 	samples := randomSamples(6000, 2)
 	for i := range samples {
-		samples[i].Latency *= 0.8 + 0.4*rng.Float64() // off the 0.1 grid
+		if rng.Intn(2) == 0 {
+			samples[i].Latency = pebs.MaxLatency - 1 - int64(rng.Intn(1000))
+		}
 	}
 	serial := NewAccumulator(m)
 	serial.Add(samples)

@@ -201,7 +201,7 @@ func Extract(samples []pebs.Sample, node topology.NodeID, weight float64) Vector
 	}
 	var v Vector
 	var batch, l3hit, l3miss, localDRAM float64
-	var latSum, localLat float64
+	var latSum, localLat int64
 	for _, s := range samples {
 		if s.SrcNode != node {
 			continue
@@ -229,9 +229,9 @@ func Extract(samples []pebs.Sample, node topology.NodeID, weight float64) Vector
 	}
 	v[3] = localDRAM * weight
 	if localDRAM > 0 {
-		v[4] = localLat / localDRAM
+		v[4] = float64(localLat) / localDRAM
 	}
-	v[5] = latSum / batch
+	v[5] = float64(latSum) / batch
 	v[6] = batch * weight
 	return v
 }

@@ -9,8 +9,16 @@
 //
 //   - the effective address of the load/store,
 //   - the memory layer that served it (L1/L2/L3/LFB/DRAM),
-//   - the access latency in core cycles,
+//   - the access latency in whole core cycles,
 //   - the CPU (hardware thread) that executed the instruction.
+//
+// Latency and timestamp are integers, as the hardware reports them: the
+// latency field of a PEBS record counts whole core cycles and its
+// timestamp whole TSC ticks. A float that enters the program from outside
+// (a CSV recording, a public SampleRecord) is rounded to the nearest cycle
+// once, by TimeCycles and LatencyCycles, and rejected when it is not
+// finite or out of range; from then on every sum over samples is exact
+// int64 arithmetic.
 //
 // The source NUMA node of a sample is derived from the CPU via the machine
 // topology; the home node of the data is derived from the address via the
@@ -20,6 +28,8 @@
 package pebs
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -36,19 +46,55 @@ const DefaultPeriod = 2000
 // cycles keeps every L1 hit visible, as the paper's feature set requires.
 const DefaultLatencyThreshold = 3
 
+// MaxLatency bounds a sample's latency: [0, MaxLatency) cycles, the range
+// of the hardware's 32-bit latency field. Sums of up to 2^31 such values
+// cannot overflow an int64.
+const MaxLatency = 1 << 32
+
+// MaxTime bounds a sample's time: |Time| <= MaxTime cycles, so every time
+// converts to float64 and back exactly.
+const MaxTime = 1 << 53
+
 // Sample is one address sample.
 type Sample struct {
-	Time    float64 // cycles since run start
+	Time    int64 // cycles since run start
 	CPU     topology.CPUID
 	Thread  int
 	Addr    uint64
 	Level   cache.Level // memory layer that served the access
-	Latency float64     // cycles
+	Latency int64       // whole core cycles
 	Write   bool
 	// SrcNode is the NUMA node of the issuing CPU; HomeNode the node holding
 	// the data. Both are resolved by the profiler, not reported by hardware.
 	SrcNode  topology.NodeID
 	HomeNode topology.NodeID
+}
+
+// TimeCycles rounds a float time to the nearest cycle, rejecting one that
+// is not finite or whose magnitude exceeds MaxTime.
+func TimeCycles(t float64) (int64, error) {
+	r := math.Round(t)
+	if !(r >= -MaxTime && r <= MaxTime) {
+		return 0, fmt.Errorf("sample time %v is not a finite cycle count within ±2^53", t)
+	}
+	return int64(r), nil
+}
+
+// LatencyCycles rounds a float latency to the nearest cycle, rejecting one
+// that is not finite or falls outside [0, MaxLatency).
+func LatencyCycles(l float64) (int64, error) {
+	r := math.Round(l)
+	if !(r >= 0 && r < MaxLatency) {
+		return 0, fmt.Errorf("sample latency %v is not a cycle count in [0, 2^32)", l)
+	}
+	return int64(r), nil
+}
+
+// ValidCycles reports whether a time and a latency lie in the ranges
+// TimeCycles and LatencyCycles admit — the check for integer fields that
+// arrive already rounded (a binary recording's columns).
+func ValidCycles(time, latency int64) bool {
+	return time >= -MaxTime && time <= MaxTime && latency >= 0 && latency < MaxLatency
 }
 
 // Channel returns the directed channel this sample travelled.
@@ -155,7 +201,7 @@ func (c *Collector) OverheadCycles() float64 { return c.cfg.OverheadCycles }
 // Add records one sample, applying the latency threshold and the reservoir
 // bound.
 func (c *Collector) Add(s Sample) {
-	if s.Latency < c.cfg.LatencyThreshold {
+	if float64(s.Latency) < c.cfg.LatencyThreshold {
 		c.droppedThreshold++
 		return
 	}

@@ -1,6 +1,7 @@
 package pebs
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -9,7 +10,7 @@ import (
 	"drbw/internal/topology"
 )
 
-func sample(lat float64, lvl cache.Level, src, home topology.NodeID) Sample {
+func sample(lat int64, lvl cache.Level, src, home topology.NodeID) Sample {
 	return Sample{Latency: lat, Level: lvl, SrcNode: src, HomeNode: home}
 }
 
@@ -39,7 +40,7 @@ func TestLatencyThresholdFilters(t *testing.T) {
 func TestReservoirBound(t *testing.T) {
 	c := NewCollector(Config{MaxKept: 100, LatencyThreshold: 1}, 3)
 	for i := 0; i < 1000; i++ {
-		c.Add(sample(float64(10+i), cache.MEM, 0, 1))
+		c.Add(sample(int64(10+i), cache.MEM, 0, 1))
 	}
 	if c.Total() != 1000 {
 		t.Errorf("total = %d", c.Total())
@@ -65,7 +66,7 @@ func TestWeightWithoutEviction(t *testing.T) {
 
 func TestSamplesSortedByTime(t *testing.T) {
 	c := NewCollector(Config{}, 1)
-	for _, tm := range []float64{30, 10, 20} {
+	for _, tm := range []int64{30, 10, 20} {
 		s := sample(100, cache.MEM, 0, 0)
 		s.Time = tm
 		c.Add(s)
@@ -204,5 +205,37 @@ func TestFlavorNames(t *testing.T) {
 	c2 := NewCollector(Config{Flavor: IBS}, 1)
 	if c2.Flavor() != IBS {
 		t.Error("IBS flavor lost")
+	}
+}
+
+// TestCycleBoundaryRule pins the one rounding-and-range rule every float
+// entry point applies: round to the nearest cycle, reject what is not
+// finite or falls outside the integer fields' ranges.
+func TestCycleBoundaryRule(t *testing.T) {
+	for _, tc := range []struct {
+		in   float64
+		want int64
+	}{{0, 0}, {1.4, 1}, {1.5, 2}, {-1.5, -2}, {-2.4, -2}, {MaxTime, MaxTime}, {-MaxTime, -MaxTime}} {
+		if got, err := TimeCycles(tc.in); err != nil || got != tc.want {
+			t.Errorf("TimeCycles(%v) = %d, %v; want %d", tc.in, got, err, tc.want)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), MaxTime + 2, -MaxTime - 2, 1e300} {
+		if _, err := TimeCycles(bad); err == nil {
+			t.Errorf("TimeCycles(%v) accepted", bad)
+		}
+	}
+	for _, tc := range []struct {
+		in   float64
+		want int64
+	}{{0, 0}, {-0.4, 0}, {254.5, 255}, {211.2, 211}, {MaxLatency - 1, MaxLatency - 1}} {
+		if got, err := LatencyCycles(tc.in); err != nil || got != tc.want {
+			t.Errorf("LatencyCycles(%v) = %d, %v; want %d", tc.in, got, err, tc.want)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1, -0.5, MaxLatency, MaxLatency - 0.5, 1e30} {
+		if _, err := LatencyCycles(bad); err == nil {
+			t.Errorf("LatencyCycles(%v) accepted", bad)
+		}
 	}
 }

@@ -1,38 +1,41 @@
 package profiledata
 
-// Binary columnar samples format (v3).
+// Binary columnar samples format (v4).
 //
 // CSV recordings (v1/v2) cost where it hurts at scale: every field is
 // re-parsed through encoding/csv + strconv, and a 1M-sample trace is tens
-// of megabytes of text. v3 stores the same nine sample fields as packed
+// of megabytes of text. v4 stores the same nine sample fields as packed
 // per-block columns:
 //
-//	header:  magic "DRBWPD3\n", version byte, flags byte,
+//	header:  magic "DRBWPD4\n", version byte, flags byte,
 //	         weight float64 LE, uvarint total sample count (0 when the
 //	         writer did not know it), level dictionary (count, then
 //	         length-prefixed level names in index order)
 //	body:    blocks until a zero sample count; optionally one flate
 //	         stream when the header flags bit 0 is set
 //	block:   uvarint sampleCount, uvarint payloadLen, payload
-//	payload: time column    tag byte (raw|delta), then either count
-//	                        float64 LE or zigzag-varint deltas of the
-//	                        integral cycle values (running across blocks)
+//	payload: time column    zigzag-varint deltas of the cycle times
+//	                        (running across blocks)
 //	         cpu column     zigzag varint per sample
 //	         thread column  zigzag varint per sample
 //	         addr column    zigzag varint delta per sample (running)
 //	         level column   one dictionary index byte per sample
-//	         latency column tag byte (raw|fixed ×10), then float64s or
-//	                        zigzag-varint deltas of latency*10 (running)
+//	         latency column zigzag-varint deltas of the latencies in whole
+//	                        cycles (running across blocks)
 //	         write column   ceil(count/8) bytes, LSB first
 //	         src column     zigzag varint per sample
 //	         home column    zigzag varint per sample
 //
-// The integer encodings are used only when they are exactly invertible
-// (times integral, latencies on a 0.1-cycle grid — what the simulator and
-// the CSV writer both produce); otherwise the column falls back to raw
-// float64 bits, so any sample list round-trips bit-exactly. The level
+// Times and latencies are whole cycles, as PEBS reports them, so every
+// column is an exact integer encoding and any sample list the writer
+// accepts round-trips bit for bit. Both sides hold the fields to the
+// ranges pebs.TimeCycles and pebs.LatencyCycles admit. The level
 // dictionary makes the format self-describing: indexes are resolved
 // through the recorded names, not through cache.Level values.
+//
+// v3 (magic "DRBWPD3\n") differed in carrying float fallback columns; only
+// earlier builds of this tool wrote it, and the reader rejects it with a
+// request to re-record.
 
 import (
 	"bufio"
@@ -47,22 +50,22 @@ import (
 	"drbw/internal/topology"
 )
 
-// binaryMagic opens every v3 samples file. No CSV recording can collide:
+// binaryMagic opens every v4 samples file. No CSV recording can collide:
 // v2 starts with "#drbw-sa", v1 with "time,cpu".
-const binaryMagic = "DRBWPD3\n"
+const binaryMagic = "DRBWPD4\n"
+
+// binaryMagicV3 opens the retired v3 format, recognized only to say so.
+const binaryMagicV3 = "DRBWPD3\n"
+
+// errBinaryV3 is what reading a v3 recording reports.
+var errBinaryV3 = fmt.Errorf("profiledata: binary samples v3 was recorded by an older drbw; re-record the trace")
 
 // binaryVersion is the format version the writer emits and the only one
 // the reader accepts.
-const binaryVersion = 3
+const binaryVersion = 4
 
 // flagCompressed marks a flate-compressed block stream.
 const flagCompressed = 1 << 0
-
-// Column encoding tags.
-const (
-	encRaw   = 0 // float64 bits, little endian
-	encDelta = 1 // zigzag varints: integral deltas (time), fixed-point ×10 deltas (latency)
-)
 
 // DefaultBlockSize is the samples-per-block default of WriteSamplesBinary —
 // large enough to amortize per-block overhead, small enough that a
@@ -105,13 +108,13 @@ type BinaryOptions struct {
 	// stop at the terminator and never see it; indexed readers
 	// (OpenIndexedTrace) use it to decode block ranges independently.
 	// Ignored when Compress is set — a flate body has no seekable block
-	// boundaries — and skipped when any block's time column defeats the
-	// min/max scan (NaN times).
+	// boundaries.
 	Index bool
 }
 
-// WriteSamplesBinary writes samples in the binary columnar v3 format. A
-// non-positive weight is written as 1, mirroring WriteSamples.
+// WriteSamplesBinary writes samples in the binary columnar v4 format. A
+// non-positive weight is written as 1, mirroring WriteSamples. A sample
+// whose time or latency lies outside the pebs cycle ranges is an error.
 func WriteSamplesBinary(w io.Writer, samples []pebs.Sample, weight float64, opt BinaryOptions) error {
 	if !(weight > 0) {
 		weight = 1
@@ -186,18 +189,8 @@ func WriteSamplesBinary(w io.Writer, samples []pebs.Sample, weight float64, opt 
 				MinTime: block[0].Time, MaxTime: block[0].Time,
 			}
 			for i := range block {
-				if math.IsNaN(block[i].Time) {
-					// An unordered time defeats the range; without a
-					// trustworthy range the index is not worth writing.
-					writeIndex = false
-					break
-				}
-				if block[i].Time < e.MinTime {
-					e.MinTime = block[i].Time
-				}
-				if block[i].Time > e.MaxTime {
-					e.MaxTime = block[i].Time
-				}
+				e.MinTime = min(e.MinTime, block[i].Time)
+				e.MaxTime = max(e.MaxTime, block[i].Time)
 			}
 		}
 		payload, err := enc.encode(block)
@@ -245,9 +238,9 @@ func WriteSamplesBinary(w io.Writer, samples []pebs.Sample, weight float64, opt 
 // blockEncoder carries the running deltas and the scratch buffer across the
 // blocks of one file.
 type blockEncoder struct {
-	prevTime int64  // last encoded integral time
+	prevTime int64  // last encoded time
 	prevAddr uint64 // last encoded address
-	prevLat  int64  // last encoded latency, fixed-point ×10
+	prevLat  int64  // last encoded latency
 	buf      []byte
 }
 
@@ -257,25 +250,6 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// integralTime reports whether t encodes exactly as an int64 cycle count.
-func integralTime(t float64) (int64, bool) {
-	if t != math.Trunc(t) || t < -(1<<62) || t > 1<<62 {
-		return 0, false
-	}
-	v := int64(t)
-	return v, float64(v) == t
-}
-
-// fixedLatency reports whether l encodes exactly on the 0.1-cycle grid.
-func fixedLatency(l float64) (int64, bool) {
-	f := math.Round(l * 10)
-	if f < -(1<<62) || f > 1<<62 || math.IsNaN(f) {
-		return 0, false
-	}
-	v := int64(f)
-	return v, float64(v)/10 == l
-}
-
 // encode serializes one block's columns into the reused scratch buffer.
 func (e *blockEncoder) encode(block []pebs.Sample) ([]byte, error) {
 	buf := e.buf[:0]
@@ -284,36 +258,18 @@ func (e *blockEncoder) encode(block []pebs.Sample) ([]byte, error) {
 		n := binary.PutUvarint(v8[:], u)
 		buf = append(buf, v8[:n]...)
 	}
-	putFloat := func(f float64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-		buf = append(buf, b[:]...)
+	for i := range block {
+		if s := &block[i]; !pebs.ValidCycles(s.Time, s.Latency) {
+			return nil, fmt.Errorf("profiledata: sample time %d or latency %d outside the cycle ranges (|time| <= 2^53, latency in [0, 2^32))", s.Time, s.Latency)
+		}
 	}
 
-	// time column: delta encoding only if every time in the block is
-	// exactly integral.
-	timesIntegral := true
+	prevTime := e.prevTime
 	for i := range block {
-		if _, ok := integralTime(block[i].Time); !ok {
-			timesIntegral = false
-			break
-		}
+		putUvarint(zigzag(block[i].Time - prevTime))
+		prevTime = block[i].Time
 	}
-	if timesIntegral {
-		buf = append(buf, encDelta)
-		prev := e.prevTime
-		for i := range block {
-			v, _ := integralTime(block[i].Time)
-			putUvarint(zigzag(v - prev))
-			prev = v
-		}
-		e.prevTime = prev
-	} else {
-		buf = append(buf, encRaw)
-		for i := range block {
-			putFloat(block[i].Time)
-		}
-	}
+	e.prevTime = prevTime
 
 	for i := range block {
 		putUvarint(zigzag(int64(block[i].CPU)))
@@ -335,29 +291,12 @@ func (e *blockEncoder) encode(block []pebs.Sample) ([]byte, error) {
 		buf = append(buf, byte(lvl))
 	}
 
-	// latency column: fixed-point ×10 only if every latency inverts exactly.
-	latFixed := true
+	prevLat := e.prevLat
 	for i := range block {
-		if _, ok := fixedLatency(block[i].Latency); !ok {
-			latFixed = false
-			break
-		}
+		putUvarint(zigzag(block[i].Latency - prevLat))
+		prevLat = block[i].Latency
 	}
-	if latFixed {
-		buf = append(buf, encDelta)
-		prev := e.prevLat
-		for i := range block {
-			v, _ := fixedLatency(block[i].Latency)
-			putUvarint(zigzag(v - prev))
-			prev = v
-		}
-		e.prevLat = prev
-	} else {
-		buf = append(buf, encRaw)
-		for i := range block {
-			putFloat(block[i].Latency)
-		}
-	}
+	e.prevLat = prevLat
 
 	// write column, bit-packed LSB first.
 	var bits byte
@@ -474,21 +413,6 @@ func (p *payloadReader) uvarints(dst []uint64) error {
 	return nil
 }
 
-// fixed64s reads len(dst) fixed-width little-endian uint64s (a raw float
-// column) with one bounds check for the whole run.
-func (p *payloadReader) fixed64s(dst []uint64) error {
-	n := len(dst)
-	if p.pos+8*n > len(p.buf) {
-		return errCorrupt
-	}
-	buf := p.buf[p.pos:]
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint64(buf[8*i:])
-	}
-	p.pos += 8 * n
-	return nil
-}
-
 // bytes returns the next n payload bytes without copying.
 func (p *payloadReader) bytes(n int) ([]byte, error) {
 	if p.pos+n > len(p.buf) {
@@ -508,15 +432,6 @@ func (p *payloadReader) byte() (byte, error) {
 	return b, nil
 }
 
-func (p *payloadReader) float() (float64, error) {
-	if p.pos+8 > len(p.buf) {
-		return 0, errCorrupt
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(p.buf[p.pos:]))
-	p.pos += 8
-	return v, nil
-}
-
 // decode fills out (already sized to the block's sample count) from one
 // payload. Each column is decoded as a whole run — varints batched into the
 // caller's reusable scratch, then converted in a second tight loop — so the
@@ -531,31 +446,15 @@ func (d *blockDecoder) decode(payload []byte, out []pebs.Sample, scratch *[]uint
 	out = out[:len(col)] // teach the bounds prover: every out[i] below is in range
 	p := payloadReader{buf: payload}
 
-	tag, err := p.byte()
-	if err != nil {
+	if err := p.uvarints(col); err != nil {
 		return err
 	}
-	switch tag {
-	case encDelta:
-		if err := p.uvarints(col); err != nil {
-			return err
-		}
-		prev := d.prevTime
-		for i, u := range col {
-			prev += unzigzag(u)
-			out[i].Time = float64(prev)
-		}
-		d.prevTime = prev
-	case encRaw:
-		if err := p.fixed64s(col); err != nil {
-			return err
-		}
-		for i, u := range col {
-			out[i].Time = math.Float64frombits(u)
-		}
-	default:
-		return errCorrupt
+	prev := d.prevTime
+	for i, u := range col {
+		prev += unzigzag(u)
+		out[i].Time = prev
 	}
+	d.prevTime = prev
 
 	if err := p.uvarints(col); err != nil {
 		return err
@@ -591,30 +490,18 @@ func (d *blockDecoder) decode(payload []byte, out []pebs.Sample, scratch *[]uint
 		out[i].Level = d.levels[b]
 	}
 
-	if tag, err = p.byte(); err != nil {
+	if err := p.uvarints(col); err != nil {
 		return err
 	}
-	switch tag {
-	case encDelta:
-		if err := p.uvarints(col); err != nil {
-			return err
+	prev = d.prevLat
+	for i, u := range col {
+		prev += unzigzag(u)
+		out[i].Latency = prev
+		if !pebs.ValidCycles(out[i].Time, prev) {
+			return fmt.Errorf("profiledata: sample time %d or latency %d outside the cycle ranges: corrupt binary block", out[i].Time, prev)
 		}
-		prev := d.prevLat
-		for i, u := range col {
-			prev += unzigzag(u)
-			out[i].Latency = float64(prev) / 10
-		}
-		d.prevLat = prev
-	case encRaw:
-		if err := p.fixed64s(col); err != nil {
-			return err
-		}
-		for i, u := range col {
-			out[i].Latency = math.Float64frombits(u)
-		}
-	default:
-		return errCorrupt
 	}
+	d.prevLat = prev
 
 	bits, err := p.bytes((n + 7) / 8)
 	if err != nil {

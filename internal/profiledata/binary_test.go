@@ -3,6 +3,7 @@ package profiledata
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -16,22 +17,22 @@ import (
 )
 
 // testTrace generates n samples shaped like real collector output:
-// monotonically increasing integral times, clustered addresses, latencies
-// on the 0.1-cycle grid.
+// monotonically increasing cycle times, clustered addresses, latencies in
+// whole cycles.
 func testTrace(n int, seed int64) []pebs.Sample {
 	rng := rand.New(rand.NewSource(seed))
 	levels := []cache.Level{cache.L1, cache.L2, cache.L3, cache.LFB, cache.MEM}
 	out := make([]pebs.Sample, n)
-	t := 0.0
+	var t int64
 	for i := range out {
-		t += float64(rng.Intn(5000))
+		t += int64(rng.Intn(5000))
 		out[i] = pebs.Sample{
 			Time:     t,
 			CPU:      topology.CPUID(rng.Intn(64)),
 			Thread:   rng.Intn(32),
 			Addr:     0x10000000 + uint64(rng.Intn(1<<26)),
 			Level:    levels[rng.Intn(len(levels))],
-			Latency:  float64(rng.Intn(6000)) / 10,
+			Latency:  int64(rng.Intn(600)),
 			Write:    rng.Intn(3) == 0,
 			SrcNode:  topology.NodeID(rng.Intn(4)),
 			HomeNode: topology.NodeID(rng.Intn(4)),
@@ -46,10 +47,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 			for _, blockSize := range []int{0, 1, 7, 4096} {
 				samples := testTrace(n, int64(n)+1)
 				if n > 4 {
-					// Force the raw-float fallbacks mid-trace.
-					samples[2].Time = 1234.5
-					samples[3].Latency = math.Pi
-					samples[4].Time = math.Inf(1)
+					// The widest deltas the ranges allow, mid-trace.
+					samples[2].Time = pebs.MaxTime
+					samples[3].Latency = pebs.MaxLatency - 1
+					samples[4].Time = -pebs.MaxTime
 				}
 				var buf bytes.Buffer
 				opt := BinaryOptions{BlockSize: blockSize, Compress: compress}
@@ -77,19 +78,41 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryPreservesNaNLatency(t *testing.T) {
-	samples := testTrace(3, 7)
-	samples[1].Latency = math.NaN()
-	var buf bytes.Buffer
-	if err := WriteSamplesBinary(&buf, samples, 1, BinaryOptions{}); err != nil {
+// TestBinaryRejectsOutOfRangeCycles: the writer refuses a sample the
+// reader would refuse, so every file it writes reads back.
+func TestBinaryRejectsOutOfRangeCycles(t *testing.T) {
+	for name, mutate := range map[string]func(*pebs.Sample){
+		"negative latency": func(s *pebs.Sample) { s.Latency = -1 },
+		"latency 2^32":     func(s *pebs.Sample) { s.Latency = pebs.MaxLatency },
+		"time above 2^53":  func(s *pebs.Sample) { s.Time = pebs.MaxTime + 1 },
+		"time below -2^53": func(s *pebs.Sample) { s.Time = -pebs.MaxTime - 1 },
+		"time at MinInt64": func(s *pebs.Sample) { s.Time = math.MinInt64 },
+		"latency MaxInt64": func(s *pebs.Sample) { s.Latency = math.MaxInt64 },
+	} {
+		samples := testTrace(3, 7)
+		mutate(&samples[1])
+		if err := WriteSamplesBinary(io.Discard, samples, 1, BinaryOptions{Index: true}); err == nil {
+			t.Errorf("%s: written without error", name)
+		}
+	}
+}
+
+// TestBinaryV3RecordingAsksForReRecord: the retired v3 format is
+// recognized by its magic and refused with a reason, through both the
+// streaming and the indexed opener.
+func TestBinaryV3RecordingAsksForReRecord(t *testing.T) {
+	var v4 bytes.Buffer
+	if err := WriteSamplesBinary(&v4, testTrace(50, 3), 2, BinaryOptions{Index: true}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ReadSamples(&buf)
-	if err != nil {
-		t.Fatal(err)
+	v3 := append([]byte(binaryMagicV3), v4.Bytes()[len(binaryMagic):]...)
+	v3[len(binaryMagicV3)] = 3 // version byte
+	_, _, err := ReadSamples(bytes.NewReader(v3))
+	if err == nil || !strings.Contains(err.Error(), "older drbw; re-record") {
+		t.Fatalf("v3 read: err = %v, want the re-record error", err)
 	}
-	if gb, wb := math.Float64bits(got[1].Latency), math.Float64bits(samples[1].Latency); gb != wb {
-		t.Fatalf("NaN latency bits changed: %#x != %#x", gb, wb)
+	if _, err := NewIndexedTrace(bytes.NewReader(v3), int64(len(v3))); !errors.Is(err, ErrNoIndex) {
+		t.Fatalf("v3 indexed open: err = %v, want ErrNoIndex", err)
 	}
 }
 
@@ -186,7 +209,7 @@ func TestSampleReaderFormats(t *testing.T) {
 	}{
 		{"v1", FormatCSVv1, v1, 1},
 		{"v2", FormatCSVv2, v2.String(), 2},
-		{"binary", FormatBinaryV3, bin.String(), 2},
+		{"binary", FormatBinaryV4, bin.String(), 2},
 	}
 	for _, tc := range cases {
 		sr, err := NewSampleReader(strings.NewReader(tc.data))
@@ -217,7 +240,8 @@ func TestSampleReaderFormats(t *testing.T) {
 }
 
 // binaryWithBlockHeader builds a valid header followed by a hand-written
-// block header, for decoder hardening tests.
+// block header, the payload and the zero-count terminator, for decoder
+// hardening tests.
 func binaryWithBlockHeader(count, payloadLen uint64, payload []byte) []byte {
 	var buf bytes.Buffer
 	WriteSamplesBinary(&buf, nil, 1, BinaryOptions{}) // header + terminator
@@ -228,7 +252,7 @@ func binaryWithBlockHeader(count, payloadLen uint64, payload []byte) []byte {
 	data = append(data, v8[:n]...)
 	n = binary.PutUvarint(v8[:], payloadLen)
 	data = append(data, v8[:n]...)
-	return append(data, payload...)
+	return append(append(data, payload...), 0)
 }
 
 func TestBinaryReadErrors(t *testing.T) {
@@ -250,12 +274,11 @@ func TestBinaryReadErrors(t *testing.T) {
 		"missing terminator":   vb[:len(vb)-1],
 		"lying sample count":   lyingCount(vb),
 		"truncated block":      vb[:len(vb)/2],
-		"trailing payload byte": binaryWithBlockHeader(1, 11,
-			[]byte{encDelta, 0, 0, 0, 0, 0, encDelta, 0, 0, 0, 0}),
-		"bad time tag": binaryWithBlockHeader(1, 10,
-			[]byte{7, 0, 0, 0, 0, 0, encDelta, 0, 0, 0}),
-		"level outside dictionary": binaryWithBlockHeader(1, 10,
-			[]byte{encDelta, 0, 0, 0, 0, 99, encDelta, 0, 0, 0}),
+		"trailing payload byte": binaryWithBlockHeader(1, 10,
+			[]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0}),
+		"level outside dictionary": binaryWithBlockHeader(1, 9,
+			[]byte{0, 0, 0, 0, 99, 0, 0, 0, 0}),
+		"v3 header":           append([]byte(binaryMagicV3), 3, 0),
 		"count over limit":    binaryWithBlockHeader(maxBlockSamples+1, 8*(maxBlockSamples+1), nil),
 		"payload implausible": binaryWithBlockHeader(8, 3, []byte{1, 2, 3}),
 		"payload oversized":   binaryWithBlockHeader(1, maxSampleEncoded*2+32, nil),
@@ -265,6 +288,32 @@ func TestBinaryReadErrors(t *testing.T) {
 			t.Errorf("%s: expected an error", name)
 		}
 	}
+
+	// Cycle fields out of range: the block is otherwise well formed, as the
+	// in-range control shows.
+	if got, _, err := ReadSamples(bytes.NewReader(binaryWithBlockHeader(1, 9, cyclePayload(0, 0)))); err != nil || len(got) != 1 {
+		t.Fatalf("in-range hand-written block: %d samples, %v", len(got), err)
+	}
+	for name, data := range map[string][]byte{
+		// zigzag 1 is a delta of -1 from the zero seed.
+		"negative latency": binaryWithBlockHeader(1, 9, cyclePayload(0, 1)),
+		"latency 2^32":     binaryWithBlockHeader(1, 13, cyclePayload(0, 1<<33)),
+		"time past 2^53":   binaryWithBlockHeader(1, 16, cyclePayload(1<<55, 0)),
+		"time below -2^53": binaryWithBlockHeader(1, 16, cyclePayload(1<<54+3, 0)),
+	} {
+		if _, _, err := ReadSamples(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "outside the cycle ranges") {
+			t.Errorf("%s: err = %v, want the cycle-range error", name, err)
+		}
+	}
+}
+
+// cyclePayload is a one-sample block payload whose time and latency
+// columns hold the given zigzag varints and every other column zero.
+func cyclePayload(timeZigzag, latZigzag uint64) []byte {
+	p := binary.AppendUvarint(nil, timeZigzag)
+	p = append(p, 0, 0, 0, 0) // cpu, thread, addr, level
+	p = binary.AppendUvarint(p, latZigzag)
+	return append(p, 0, 0, 0) // write, src, home
 }
 
 // lyingCount rewrites a valid 100-sample file's header count hint to 99,

@@ -35,8 +35,8 @@ func legacyV1Footer(tb testing.TB, data []byte) []byte {
 		payload = binary.AppendUvarint(payload, zigzag(e.PrevTime))
 		payload = binary.AppendUvarint(payload, e.PrevAddr)
 		payload = binary.AppendUvarint(payload, zigzag(e.PrevLat))
-		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(e.MinTime))
-		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(e.MaxTime))
+		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(float64(e.MinTime)))
+		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(float64(e.MaxTime)))
 	}
 	out := append([]byte(nil), data[:idx.DataEnd+1]...)
 	out = append(out, payload...)

@@ -88,31 +88,16 @@ func BenchmarkBlockDecode(b *testing.B) {
 func decodeScalar(d *blockDecoder, payload []byte, out []pebs.Sample) error {
 	p := payloadReader{buf: payload}
 
-	tag, err := p.byte()
-	if err != nil {
-		return err
-	}
-	switch tag {
-	case encDelta:
-		prev := d.prevTime
-		for i := range out {
-			u, err := p.uvarint()
-			if err != nil {
-				return err
-			}
-			prev += unzigzag(u)
-			out[i].Time = float64(prev)
+	prev := d.prevTime
+	for i := range out {
+		u, err := p.uvarint()
+		if err != nil {
+			return err
 		}
-		d.prevTime = prev
-	case encRaw:
-		for i := range out {
-			if out[i].Time, err = p.float(); err != nil {
-				return err
-			}
-		}
-	default:
-		return errCorrupt
+		prev += unzigzag(u)
+		out[i].Time = prev
 	}
+	d.prevTime = prev
 
 	for i := range out {
 		u, err := p.uvarint()
@@ -149,34 +134,23 @@ func decodeScalar(d *blockDecoder, payload []byte, out []pebs.Sample) error {
 		out[i].Level = d.levels[b]
 	}
 
-	if tag, err = p.byte(); err != nil {
-		return err
-	}
-	switch tag {
-	case encDelta:
-		prev := d.prevLat
-		for i := range out {
-			u, err := p.uvarint()
-			if err != nil {
-				return err
-			}
-			prev += unzigzag(u)
-			out[i].Latency = float64(prev) / 10
+	prev = d.prevLat
+	for i := range out {
+		u, err := p.uvarint()
+		if err != nil {
+			return err
 		}
-		d.prevLat = prev
-	case encRaw:
-		for i := range out {
-			if out[i].Latency, err = p.float(); err != nil {
-				return err
-			}
+		prev += unzigzag(u)
+		out[i].Latency = prev
+		if !pebs.ValidCycles(out[i].Time, prev) {
+			return errCorrupt
 		}
-	default:
-		return errCorrupt
 	}
+	d.prevLat = prev
 
 	for i := range out {
 		if i&7 == 0 {
-			if _, err = p.byte(); err != nil {
+			if _, err := p.byte(); err != nil {
 				return err
 			}
 		}

@@ -2,6 +2,7 @@ package profiledata
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -9,10 +10,10 @@ import (
 )
 
 // FuzzReadSamples drives the autodetecting decoder — CSV v1/v2 and binary
-// v3 — with arbitrary bytes. Malformed or truncated input must come back
+// v4 — with arbitrary bytes. Malformed or truncated input must come back
 // as an error, never a panic, and anything that does decode must re-encode
 // and decode to the same samples (the decoder accepts nothing it cannot
-// represent).
+// represent). A v3 header must always get the re-record error.
 func FuzzReadSamples(f *testing.F) {
 	samples := testTrace(300, 21)
 
@@ -82,8 +83,18 @@ func FuzzReadSamples(f *testing.F) {
 	f.Add([]byte(binaryMagic))
 	f.Add([]byte("time,cpu\n1,2\n"))
 	f.Add([]byte{})
+	// Hostile cycle fields: a v3 header, and CSV rows whose latency or time
+	// no int64 cycle field may hold. Each must read as an error.
+	for _, seed := range hostileSeeds(f) {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if bytes.HasPrefix(data, []byte(binaryMagicV3)) {
+			if _, _, err := ReadSamples(bytes.NewReader(data)); !errors.Is(err, errBinaryV3) {
+				t.Fatalf("v3 header read: err = %v, want the re-record error", err)
+			}
+		}
 		// The indexed opener must never panic on arbitrary bytes. A footer
 		// forged onto valid blocks may carry wrong seed state — then ranges
 		// decode to *different* (but structurally valid) samples or fail —
@@ -126,23 +137,20 @@ func FuzzReadSamples(f *testing.F) {
 			t.Fatalf("sample count changed across round-trip: %d != %d", len(again), len(got))
 		}
 		for i := range got {
-			if !sameSample(again[i], got[i]) {
+			if !reflect.DeepEqual(again[i], got[i]) {
 				t.Fatalf("sample %d changed across round-trip", i)
 			}
 		}
 
 		// Indexed round-trip: re-encode with the footer and decode back
 		// through block ranges. Our own writer's index is trusted, so here
-		// full equivalence holds (ErrNoIndex is legitimate: NaN times).
+		// full equivalence holds.
 		var ibuf bytes.Buffer
 		if err := WriteSamplesBinary(&ibuf, got, weight, BinaryOptions{BlockSize: 32, Index: true}); err != nil {
 			t.Fatalf("indexed re-encode failed: %v", err)
 		}
 		it, err := NewIndexedTrace(bytes.NewReader(ibuf.Bytes()), int64(ibuf.Len()))
 		if err != nil {
-			if err == ErrNoIndex {
-				return
-			}
 			t.Fatalf("opening our own indexed encoding failed: %v", err)
 		}
 		var ranged []pebs.Sample
@@ -159,26 +167,49 @@ func FuzzReadSamples(f *testing.F) {
 			t.Fatalf("ranged decode yields %d samples, want %d", len(ranged), len(got))
 		}
 		for i := range got {
-			if !sameSample(ranged[i], got[i]) {
+			if !reflect.DeepEqual(ranged[i], got[i]) {
 				t.Fatalf("sample %d changed across the indexed round-trip", i)
 			}
 		}
 	})
 }
 
-// sameSample is bit-level equality: NaN times or latencies (CSV accepts
-// "NaN") still count as equal when their bits match.
-func sameSample(a, b pebs.Sample) bool {
-	a.Time, b.Time = float64frombitsNorm(a.Time), float64frombitsNorm(b.Time)
-	a.Latency, b.Latency = float64frombitsNorm(a.Latency), float64frombitsNorm(b.Latency)
-	return reflect.DeepEqual(a, b)
+// hostileSeeds are recordings whose cycle fields must be refused: a v3
+// header in front of a valid v4 body, and CSV rows with a latency of 1e30,
+// a negative latency, and NaN and infinite times.
+func hostileSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	var v4 bytes.Buffer
+	if err := WriteSamplesBinary(&v4, testTrace(20, 5), 1, BinaryOptions{Index: true}); err != nil {
+		tb.Fatal(err)
+	}
+	v3 := append([]byte(binaryMagicV3), v4.Bytes()[len(binaryMagic):]...)
+	v3[len(binaryMagicV3)] = 3
+	seeds := [][]byte{v3}
+	const header = "#drbw-samples,v2,weight,1\ntime,cpu,thread,addr,level,latency,write,src_node,home_node\n"
+	for _, row := range []string{
+		"10,0,0,0x40,MEM,1e30,false,0,1",
+		"10,0,0,0x40,MEM,-3,false,0,1",
+		"NaN,0,0,0x40,MEM,300,false,0,1",
+		"Inf,0,0,0x40,MEM,300,false,0,1",
+		"-Inf,0,0,0x40,MEM,300,false,0,1",
+		"1e300,0,0,0x40,MEM,300,false,0,1",
+	} {
+		seeds = append(seeds, []byte(header+row+"\n"))
+	}
+	return seeds
 }
 
-// float64frombitsNorm collapses every NaN payload to zero so DeepEqual can
-// compare the rest of the struct.
-func float64frombitsNorm(f float64) float64 {
-	if f != f {
-		return 0
+// TestHostileCycleSeedsRejected pins what FuzzReadSamples seeds with: every
+// hostile seed reads as an error, the v3 one as the re-record error.
+func TestHostileCycleSeedsRejected(t *testing.T) {
+	for i, seed := range hostileSeeds(t) {
+		_, _, err := ReadSamples(bytes.NewReader(seed))
+		if err == nil {
+			t.Errorf("seed %d read without error:\n%s", i, seed)
+		}
+		if i == 0 && !errors.Is(err, errBinaryV3) {
+			t.Errorf("v3 seed: err = %v, want the re-record error", err)
+		}
 	}
-	return f
 }

@@ -1,6 +1,6 @@
 package profiledata
 
-// Block index footer (v3 extension).
+// Block index footer (v4 extension).
 //
 // An indexed recording carries, after the body's zero-count terminator, a
 // footer describing every block: its absolute file offset, sample count,
@@ -10,17 +10,17 @@ package profiledata
 // readers — they stop at the terminator and never reach it — and absent
 // from CSV and compressed recordings:
 //
-//	footer:  payload, uint64 LE payload length, magic "DRBWIDX2"
+//	footer:  payload, uint64 LE payload length, magic "DRBWIDX3"
 //	payload: uvarint entry count, then per entry:
 //	         uvarint offset delta from the previous entry (first absolute),
 //	         uvarint sample count,
 //	         zigzag varint decoder prevTime,
 //	         uvarint decoder prevAddr,
 //	         zigzag varint decoder prevLat,
-//	         min time float64 LE, max time float64 LE,
+//	         zigzag varint min time, zigzag varint max time (cycles),
 //	         block payload checksum uint64 LE
 //
-// The seed state is what makes blocks independently decodable: v3 columns
+// The seed state is what makes blocks independently decodable: v4 columns
 // delta-encode across block boundaries, so a reader seeked to block i can
 // only invert the deltas if it knows where the encoder's running state
 // stood. With it, any contiguous block range decodes to exactly the same
@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -55,15 +54,15 @@ import (
 // indexMagic closes every indexed recording. Distinct from binaryMagic so
 // a truncated file can never present a stale footer as a header or vice
 // versa.
-const indexMagic = "DRBWIDX2"
+const indexMagic = "DRBWIDX3"
 
 // indexTailLen is the fixed-size trailer: uint64 payload length + magic.
 const indexTailLen = 8 + len(indexMagic)
 
-// minIndexEntryLen is the narrowest possible encoded entry (five one-byte
-// varints, two float64 times and the checksum), bounding the entry count a
-// footer can plausibly claim.
-const minIndexEntryLen = 5 + 16 + 8
+// minIndexEntryLen is the narrowest possible encoded entry (seven one-byte
+// varints and the checksum), bounding the entry count a footer can
+// plausibly claim.
+const minIndexEntryLen = 7 + 8
 
 // ErrNoIndex reports that a recording carries no block index footer — it is
 // CSV, compressed, written without BinaryOptions.Index, or truncated before
@@ -76,8 +75,8 @@ type IndexEntry struct {
 	Offset int64
 	// Count is the block's sample count.
 	Count int
-	// MinTime and MaxTime bound the block's sample times.
-	MinTime, MaxTime float64
+	// MinTime and MaxTime bound the block's sample times, in cycles.
+	MinTime, MaxTime int64
 	// PrevTime, PrevAddr and PrevLat seed the block decoder with the
 	// running deltas as they stood before this block.
 	PrevTime int64
@@ -128,11 +127,6 @@ func writeBlockIndex(w *bufio.Writer, entries []IndexEntry) error {
 		n := binary.PutUvarint(v8[:], u)
 		payload = append(payload, v8[:n]...)
 	}
-	putFloat := func(f float64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-		payload = append(payload, b[:]...)
-	}
 	putUvarint(uint64(len(entries)))
 	prevOff := int64(0)
 	for _, e := range entries {
@@ -142,8 +136,8 @@ func writeBlockIndex(w *bufio.Writer, entries []IndexEntry) error {
 		putUvarint(zigzag(e.PrevTime))
 		putUvarint(e.PrevAddr)
 		putUvarint(zigzag(e.PrevLat))
-		putFloat(e.MinTime)
-		putFloat(e.MaxTime)
+		putUvarint(zigzag(e.MinTime))
+		putUvarint(zigzag(e.MaxTime))
 		payload = binary.LittleEndian.AppendUint64(payload, e.Sum)
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -199,7 +193,7 @@ func ReadBlockIndex(r io.ReaderAt, size int64) (*BlockIndex, error) {
 	prevOff := int64(0)
 	for i := uint64(0); i < n; i++ {
 		var e IndexEntry
-		var u [5]uint64
+		var u [7]uint64
 		for j := range u {
 			if u[j], err = p.uvarint(); err != nil {
 				return nil, fmt.Errorf("profiledata: corrupt block index: %w", err)
@@ -210,12 +204,8 @@ func ReadBlockIndex(r io.ReaderAt, size int64) (*BlockIndex, error) {
 		e.PrevTime = unzigzag(u[2])
 		e.PrevAddr = u[3]
 		e.PrevLat = unzigzag(u[4])
-		if e.MinTime, err = p.float(); err != nil {
-			return nil, fmt.Errorf("profiledata: corrupt block index: %w", err)
-		}
-		if e.MaxTime, err = p.float(); err != nil {
-			return nil, fmt.Errorf("profiledata: corrupt block index: %w", err)
-		}
+		e.MinTime = unzigzag(u[5])
+		e.MaxTime = unzigzag(u[6])
 		if e.Sum, err = p.fixed64(); err != nil {
 			return nil, fmt.Errorf("profiledata: corrupt block index: %w", err)
 		}
@@ -225,8 +215,8 @@ func ReadBlockIndex(r io.ReaderAt, size int64) (*BlockIndex, error) {
 		if e.Count <= 0 || e.Count > maxBlockSamples {
 			return nil, fmt.Errorf("profiledata: block index entry %d claims %d samples (limit %d)", i, e.Count, maxBlockSamples)
 		}
-		if !(e.MinTime <= e.MaxTime) {
-			return nil, fmt.Errorf("profiledata: block index entry %d has inverted time range [%v, %v]", i, e.MinTime, e.MaxTime)
+		if e.MinTime > e.MaxTime {
+			return nil, fmt.Errorf("profiledata: block index entry %d has inverted time range [%d, %d]", i, e.MinTime, e.MaxTime)
 		}
 		if i > 0 {
 			prev := &idx.Entries[len(idx.Entries)-1]
@@ -259,7 +249,7 @@ func (p *payloadReader) fixed64() (uint64, error) {
 	return v, nil
 }
 
-// IndexedTrace is a binary v3 recording opened through its block index for
+// IndexedTrace is a binary v4 recording opened through its block index for
 // random access to block ranges. The underlying reads go through ReadAt, so
 // any number of RangeReaders over one IndexedTrace may run concurrently.
 type IndexedTrace struct {
@@ -278,7 +268,7 @@ type IndexedTrace struct {
 }
 
 // NewIndexedTrace opens an indexed recording over an io.ReaderAt of the
-// given size. It returns ErrNoIndex for anything without a valid v3 header
+// given size. It returns ErrNoIndex for anything without a valid v4 header
 // and index footer pair (CSV, compressed, unindexed), and a descriptive
 // error for a footer that fails validation; callers treat any error as
 // "use the streaming path".
@@ -343,28 +333,6 @@ func (it *IndexedTrace) Blocks() int { return len(it.idx.Entries) }
 // Entry returns the i-th block's index entry.
 func (it *IndexedTrace) Entry(i int) IndexEntry { return it.idx.Entries[i] }
 
-// TimeBounds returns the recording's global sample time range as recorded
-// by the block index, in O(blocks) — no sample ever decodes. ok is false
-// for an empty recording. The range is the index's claim; the analysis
-// verifies it against the decoded samples.
-func (it *IndexedTrace) TimeBounds() (minT, maxT float64, ok bool) {
-	entries := it.idx.Entries
-	if len(entries) == 0 {
-		return 0, 0, false
-	}
-	minT, maxT = entries[0].MinTime, entries[0].MaxTime
-	for i := 1; i < len(entries); i++ {
-		e := &entries[i]
-		if e.MinTime < minT {
-			minT = e.MinTime
-		}
-		if e.MaxTime > maxT {
-			maxT = e.MaxTime
-		}
-	}
-	return minT, maxT, true
-}
-
 // Close stops any read-ahead still running for this trace's range readers
 // and releases the underlying file when the trace was opened from a path.
 func (it *IndexedTrace) Close() error {
@@ -405,7 +373,7 @@ func (it *IndexedTrace) RangeReader(from, to int, bufs *Buffers) (*SampleReader,
 	}
 	e := &it.idx.Entries[from]
 	sr := &SampleReader{
-		weight: it.weight, format: FormatBinaryV3, bufs: bufs,
+		weight: it.weight, format: FormatBinaryV4, bufs: bufs,
 		total: total, avail: end - start,
 		limited: true, blocksLeft: to - from,
 	}

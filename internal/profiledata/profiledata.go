@@ -23,22 +23,23 @@
 // start directly with the header, are still read (their weight is taken as
 // 1, matching collections that kept every sample). Addresses and bases are
 // hexadecimal with an 0x prefix; levels are the strings L1, L2, L3, LFB,
-// MEM. Source and home node are recorded at collection time (the profiler
-// resolves them via the topology and the page tables while the process is
-// alive; they cannot be reconstructed afterwards).
+// MEM. Time and latency are written as whole cycles; a reader rounds a
+// value written with a fraction (earlier writers gave latencies a tenth of
+// a cycle) to the nearest cycle and rejects one that is not finite or out
+// of range. Source and home node are recorded at collection time (the
+// profiler resolves them via the topology and the page tables while the
+// process is alive; they cannot be reconstructed afterwards).
 //
-// Binary columnar (v3) is the compact format for large traces, written by
-// WriteSamplesBinary and recognized on read by its "DRBWPD3\n" magic. The
+// Binary columnar (v4) is the compact format for large traces, written by
+// WriteSamplesBinary and recognized on read by its "DRBWPD4\n" magic. The
 // header carries the version, a flags byte (bit 0: flate-compressed body),
 // the collector weight, and a dictionary of level names; the body is a
 // sequence of blocks, each a sample count, a payload length, and a payload
-// holding one column per field. Timestamps and addresses are delta-encoded
-// zigzag varints with deltas running across block boundaries; latencies
-// use fixed-point ×10 varints; levels are single dictionary indices; the
-// write flags are packed eight to a byte. Columns that a block cannot
-// represent losslessly (fractional timestamps, latencies that are not
-// exact tenths) fall back to raw float64 bits for that block, so decoding
-// always reproduces the samples bit for bit. A zero sample count
+// holding one column per field. Timestamps, addresses and latencies are
+// delta-encoded zigzag varints with deltas running across block
+// boundaries; levels are single dictionary indices; the write flags are
+// packed eight to a byte. Every column is an exact integer encoding, so
+// decoding reproduces the samples bit for bit. A zero sample count
 // terminates the body. The block structure is what makes streaming decode
 // possible: SampleReader yields one block at a time and analysis memory
 // stays bounded by the block size regardless of trace length.
@@ -80,12 +81,12 @@ func WriteSamples(w io.Writer, samples []pebs.Sample, weight float64) error {
 	}
 	for _, s := range samples {
 		rec := []string{
-			strconv.FormatFloat(s.Time, 'f', 0, 64),
+			strconv.FormatInt(s.Time, 10),
 			strconv.Itoa(int(s.CPU)),
 			strconv.Itoa(s.Thread),
 			"0x" + strconv.FormatUint(s.Addr, 16),
 			s.Level.String(),
-			strconv.FormatFloat(s.Latency, 'f', 1, 64),
+			strconv.FormatInt(s.Latency, 10),
 			strconv.FormatBool(s.Write),
 			strconv.Itoa(int(s.SrcNode)),
 			strconv.Itoa(int(s.HomeNode)),
@@ -140,7 +141,7 @@ func readMeta(rec []string) (float64, error) {
 	return w, nil
 }
 
-// ReadSamples parses a sample recording — binary v3 or CSV v1/v2, detected
+// ReadSamples parses a sample recording — binary v4 or CSV v1/v2, detected
 // from the first bytes — and returns the samples plus the collector weight.
 // v1 recordings (no meta row) read with weight 1.
 func ReadSamples(r io.Reader) ([]pebs.Sample, float64, error) {

@@ -13,8 +13,8 @@ import (
 
 func sampleFixture() []pebs.Sample {
 	return []pebs.Sample{
-		{Time: 1000, CPU: 3, Thread: 1, Addr: 0x10000000, Level: cache.MEM, Latency: 612.5, Write: false, SrcNode: 1, HomeNode: 0},
-		{Time: 2000, CPU: 17, Thread: 9, Addr: 0x10200040, Level: cache.L1, Latency: 4.2, Write: true, SrcNode: 2, HomeNode: 2},
+		{Time: 1000, CPU: 3, Thread: 1, Addr: 0x10000000, Level: cache.MEM, Latency: 613, Write: false, SrcNode: 1, HomeNode: 0},
+		{Time: 2000, CPU: 17, Thread: 9, Addr: 0x10200040, Level: cache.L1, Latency: 4, Write: true, SrcNode: 2, HomeNode: 2},
 		{Time: 3000, CPU: 0, Thread: 0, Addr: 0x10400080, Level: cache.LFB, Latency: 130, Write: false, SrcNode: 0, HomeNode: 3},
 	}
 }
@@ -36,13 +36,8 @@ func TestSampleRoundTrip(t *testing.T) {
 		t.Fatalf("round trip %d -> %d samples", len(in), len(out))
 	}
 	for i := range in {
-		if in[i].Addr != out[i].Addr || in[i].Level != out[i].Level ||
-			in[i].CPU != out[i].CPU || in[i].SrcNode != out[i].SrcNode ||
-			in[i].HomeNode != out[i].HomeNode || in[i].Write != out[i].Write {
+		if in[i] != out[i] {
 			t.Errorf("sample %d changed: %+v -> %+v", i, in[i], out[i])
-		}
-		if diff := in[i].Latency - out[i].Latency; diff > 0.1 || diff < -0.1 {
-			t.Errorf("sample %d latency %f -> %f", i, in[i].Latency, out[i].Latency)
 		}
 	}
 }
@@ -68,10 +63,12 @@ func TestSampleCSVShape(t *testing.T) {
 }
 
 // Recordings from before the meta row (v1) start directly with the header
-// and must still read, with weight 1.
+// and must still read, with weight 1. Their latencies carry a tenth of a
+// cycle and round to the nearest whole cycle, halves away from zero.
 func TestReadSamplesV1Compat(t *testing.T) {
 	body := "time,cpu,thread,addr,level,latency,write,src_node,home_node\n" +
-		"1000,3,1,0x10000000,MEM,612.5,false,1,0\n"
+		"1000,3,1,0x10000000,MEM,612.5,false,1,0\n" +
+		"1001.4,3,1,0x10000040,L1,4.2,false,1,1\n"
 	out, weight, err := ReadSamples(strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +76,7 @@ func TestReadSamplesV1Compat(t *testing.T) {
 	if weight != 1 {
 		t.Errorf("v1 weight = %v, want 1", weight)
 	}
-	if len(out) != 1 || out[0].Addr != 0x10000000 {
+	if len(out) != 2 || out[0].Addr != 0x10000000 || out[0].Latency != 613 || out[1].Time != 1001 || out[1].Latency != 4 {
 		t.Errorf("v1 samples: %+v", out)
 	}
 }
@@ -212,9 +209,9 @@ func TestSampleRoundTripProperty(t *testing.T) {
 				break
 			}
 			in = append(in, pebs.Sample{
-				Time: float64(i * 100), CPU: 1, Thread: i,
+				Time: int64(i * 100), CPU: 1, Thread: i,
 				Addr:  uint64(a),
-				Level: cache.Level(int(lvl) % 5), Latency: float64(a%1000) + 3,
+				Level: cache.Level(int(lvl) % 5), Latency: int64(a%1000) + 3,
 				SrcNode: 0, HomeNode: 1,
 			})
 		}

@@ -33,7 +33,7 @@ type Buffers struct {
 }
 
 // SampleReader streams a sample recording block by block, autodetecting the
-// format: binary columnar v3 by its magic, otherwise CSV (v2 with the meta
+// format: binary columnar v4 by its magic, otherwise CSV (v2 with the meta
 // row, or v1 starting directly at the header). Weight is available as soon
 // as the reader is constructed; Next yields chunks of samples in trace
 // order without ever materializing the whole trace, so analysis memory is
@@ -75,7 +75,7 @@ const csvBlockSize = 8192
 const (
 	FormatCSVv1    = "csv-v1"
 	FormatCSVv2    = "csv-v2"
-	FormatBinaryV3 = "binary-v3"
+	FormatBinaryV4 = "binary-v4"
 )
 
 // NewSampleReader opens a recording for streaming, autodetecting the
@@ -93,13 +93,16 @@ func NewSampleReaderBuffers(r io.Reader, bufs *Buffers) (*SampleReader, error) {
 	avail := inputSize(r)
 	br := bufio.NewReaderSize(r, 64<<10)
 	head, err := br.Peek(len(binaryMagic))
+	if err == nil && string(head) == binaryMagicV3 {
+		return nil, errBinaryV3
+	}
 	if err == nil && string(head) == binaryMagic {
 		br.Discard(len(binaryMagic))
 		weight, total, levels, compressed, err := readBinaryHeader(br)
 		if err != nil {
 			return nil, err
 		}
-		sr := &SampleReader{weight: weight, format: FormatBinaryV3, bufs: bufs, total: total, avail: avail}
+		sr := &SampleReader{weight: weight, format: FormatBinaryV4, bufs: bufs, total: total, avail: avail}
 		sr.dec.levels = levels
 		if compressed {
 			// The input size bounds compressed bytes, not decoded ones, so
@@ -146,7 +149,7 @@ func NewSampleReaderBuffers(r io.Reader, bufs *Buffers) (*SampleReader, error) {
 func (sr *SampleReader) Weight() float64 { return sr.weight }
 
 // Format names the detected recording format: FormatCSVv1, FormatCSVv2 or
-// FormatBinaryV3.
+// FormatBinaryV4.
 func (sr *SampleReader) Format() string { return sr.format }
 
 // Next returns the next chunk of samples, or (nil, io.EOF) when the
@@ -365,10 +368,16 @@ func (sr *SampleReader) nextCSV() ([]pebs.Sample, error) {
 	return out, nil
 }
 
-// parseSampleRow parses one CSV data row into s.
+// parseSampleRow parses one CSV data row into s. Time and latency may be
+// written with a fraction (v1/v2 files wrote latencies to a tenth of a
+// cycle); they are rounded to whole cycles and range-checked by the rule
+// every float entry point shares (pebs.TimeCycles, pebs.LatencyCycles).
 func parseSampleRow(rec []string, line int, s *pebs.Sample) error {
-	var err error
-	if s.Time, err = strconv.ParseFloat(rec[0], 64); err != nil {
+	t, err := strconv.ParseFloat(rec[0], 64)
+	if err == nil {
+		s.Time, err = pebs.TimeCycles(t)
+	}
+	if err != nil {
 		return fmt.Errorf("profiledata: line %d time: %w", line, err)
 	}
 	cpu, err := strconv.Atoi(rec[1])
@@ -385,7 +394,11 @@ func parseSampleRow(rec []string, line int, s *pebs.Sample) error {
 	if s.Level, err = parseLevel(rec[4]); err != nil {
 		return fmt.Errorf("profiledata: line %d: %w", line, err)
 	}
-	if s.Latency, err = strconv.ParseFloat(rec[5], 64); err != nil {
+	lat, err := strconv.ParseFloat(rec[5], 64)
+	if err == nil {
+		s.Latency, err = pebs.LatencyCycles(lat)
+	}
+	if err != nil {
 		return fmt.Errorf("profiledata: line %d latency: %w", line, err)
 	}
 	if s.Write, err = strconv.ParseBool(rec[6]); err != nil {

@@ -36,7 +36,9 @@ import (
 // SchemaVersion names the cached-payload schema. Callers fold it into
 // every key, so bumping it on an incompatible payload change orphans all
 // old entries at once — invalidation by versioning, no migration code.
-const SchemaVersion = "drbw.rcache/2"
+// /3: sample times and latencies are whole cycles, so features and CF
+// values of the same recording moved by rounding.
+const SchemaVersion = "drbw.rcache/3"
 
 // Key addresses one cached value. Derive it with KeyOf from every input
 // that determines the value.

@@ -34,22 +34,24 @@ func TestKeyOfBoundaries(t *testing.T) {
 
 // TestSchemaBumpOrphansOldEntries: callers fold SchemaVersion into every
 // key, so an entry a previous schema stored — a Report whose Timeline had
-// the old bucket geometry — is a miss under the current one, on disk as in
-// memory.
+// the old bucket geometry (/1), or whose features came from float-cycle
+// samples (/2) — is a miss under the current one, on disk as in memory.
 func TestSchemaBumpOrphansOldEntries(t *testing.T) {
-	dir := t.TempDir()
-	old := open(t, Options{Dir: dir})
-	old.Put(KeyOf("drbw.rcache/1", "analyze", "trace"), []byte("old report"))
+	for _, oldSchema := range []string{"drbw.rcache/1", "drbw.rcache/2"} {
+		dir := t.TempDir()
+		old := open(t, Options{Dir: dir})
+		old.Put(KeyOf(oldSchema, "analyze", "trace"), []byte("old report"))
 
-	c := open(t, Options{Dir: dir})
-	if SchemaVersion == "drbw.rcache/1" {
-		t.Fatal("schema version was not bumped")
-	}
-	if v, ok := c.Get(KeyOf(SchemaVersion, "analyze", "trace")); ok {
-		t.Fatalf("entry from the old schema served: %q", v)
-	}
-	if _, ok := c.Get(KeyOf("drbw.rcache/1", "analyze", "trace")); !ok {
-		t.Fatal("the old entry itself should still be on disk")
+		c := open(t, Options{Dir: dir})
+		if SchemaVersion == oldSchema {
+			t.Fatalf("schema version was not bumped past %s", oldSchema)
+		}
+		if v, ok := c.Get(KeyOf(SchemaVersion, "analyze", "trace")); ok {
+			t.Fatalf("entry from %s served: %q", oldSchema, v)
+		}
+		if _, ok := c.Get(KeyOf(oldSchema, "analyze", "trace")); !ok {
+			t.Fatalf("the %s entry itself should still be on disk", oldSchema)
+		}
 	}
 }
 

@@ -18,14 +18,17 @@ import (
 
 // SampleRecord is one recorded address sample — the public face of a PEBS
 // sample, with node resolution already applied (the collector resolves
-// source and home while the process is alive).
+// source and home while the process is alive). Time and Latency are whole
+// cycles in a recording; a record built by hand is rounded to the nearest
+// cycle when it is saved or analyzed, and rejected when its time is not
+// finite or beyond ±2^53 or its latency falls outside [0, 2^32).
 type SampleRecord struct {
 	Time     float64 // cycles since run start
 	CPU      int
 	Thread   int
 	Addr     uint64
-	Level    string // "L1", "L2", "L3", "LFB" or "MEM"
-	Latency  float64
+	Level    string  // "L1", "L2", "L3", "LFB" or "MEM"
+	Latency  float64 // core cycles
 	Write    bool
 	SrcNode  int
 	HomeNode int
@@ -56,8 +59,8 @@ type TraceData struct {
 
 func toRecord(s pebs.Sample) SampleRecord {
 	return SampleRecord{
-		Time: s.Time, CPU: int(s.CPU), Thread: s.Thread, Addr: s.Addr,
-		Level: s.Level.String(), Latency: s.Latency, Write: s.Write,
+		Time: float64(s.Time), CPU: int(s.CPU), Thread: s.Thread, Addr: s.Addr,
+		Level: s.Level.String(), Latency: float64(s.Latency), Write: s.Write,
 		SrcNode: int(s.SrcNode), HomeNode: int(s.HomeNode),
 	}
 }
@@ -78,9 +81,17 @@ func fromRecord(r SampleRecord) (pebs.Sample, error) {
 	default:
 		return pebs.Sample{}, fmt.Errorf("drbw: unknown memory level %q", r.Level)
 	}
+	t, err := pebs.TimeCycles(r.Time)
+	if err != nil {
+		return pebs.Sample{}, fmt.Errorf("drbw: %w", err)
+	}
+	lat, err := pebs.LatencyCycles(r.Latency)
+	if err != nil {
+		return pebs.Sample{}, fmt.Errorf("drbw: %w", err)
+	}
 	return pebs.Sample{
-		Time: r.Time, CPU: topology.CPUID(r.CPU), Thread: r.Thread, Addr: r.Addr,
-		Level: lvl, Latency: r.Latency, Write: r.Write,
+		Time: t, CPU: topology.CPUID(r.CPU), Thread: r.Thread, Addr: r.Addr,
+		Level: lvl, Latency: lat, Write: r.Write,
 		SrcNode: topology.NodeID(r.SrcNode), HomeNode: topology.NodeID(r.HomeNode),
 	}, nil
 }

@@ -416,9 +416,11 @@ func TestRangePrunesBlocksAtAnyWorkerCount(t *testing.T) {
 	}
 }
 
-// TestNonFiniteTimesOneRule: every route rejects a non-finite sample time
-// with the same error, and accepts finite times of any magnitude with the
-// same report.
+// TestNonFiniteTimesOneRule: a time or latency no cycle field can hold
+// (non-finite, beyond ±2^53, a latency outside [0, 2^32)) is an error on
+// every route it can enter by — CSV parse, binary and CSV write, the slice
+// path — never a silently bucketed sample; and every route gives the same
+// report for in-range times of any magnitude.
 func TestNonFiniteTimesOneRule(t *testing.T) {
 	tl := sharedTool(t)
 	// Start from CSV-quantized samples so every encoding carries the same
@@ -440,29 +442,78 @@ func TestNonFiniteTimesOneRule(t *testing.T) {
 		return out
 	}
 	mid := len(td.Samples) / 2
+	at := func(set func(r *drbw.SampleRecord)) *drbw.TraceData {
+		return shift(func(i int, r *drbw.SampleRecord) {
+			if i == mid {
+				set(r)
+			}
+		})
+	}
+
+	// Rejected: the record routes (slice analysis, binary and CSV save)
+	// and the CSV parse of the same value written as text.
 	for _, tc := range []struct {
-		name    string
-		td      *drbw.TraceData
-		wantErr string
+		name, field, text string
+		td                *drbw.TraceData
+		wantErr           string
 	}{
-		{"NaN", shift(func(i int, r *drbw.SampleRecord) {
-			if i == mid {
-				r.Time = math.NaN()
+		{"NaN time", "time", "NaN", at(func(r *drbw.SampleRecord) { r.Time = math.NaN() }), "sample time NaN is not a finite cycle count"},
+		{"+Inf time", "time", "+Inf", at(func(r *drbw.SampleRecord) { r.Time = math.Inf(1) }), "sample time +Inf is not a finite cycle count"},
+		{"-Inf time", "time", "-Inf", at(func(r *drbw.SampleRecord) { r.Time = math.Inf(-1) }), "sample time -Inf is not a finite cycle count"},
+		{"1e300 time", "time", "1e300", at(func(r *drbw.SampleRecord) { r.Time = 1e300 }), "sample time 1e+300 is not a finite cycle count"},
+		{"1e30 latency", "latency", "1e30", at(func(r *drbw.SampleRecord) { r.Latency = 1e30 }), "sample latency 1e+30 is not a cycle count"},
+		{"negative latency", "latency", "-3", at(func(r *drbw.SampleRecord) { r.Latency = -3 }), "sample latency -3 is not a cycle count"},
+		{"NaN latency", "latency", "NaN", at(func(r *drbw.SampleRecord) { r.Latency = math.NaN() }), "sample latency NaN is not a cycle count"},
+	} {
+		dir := t.TempDir()
+		oPath := filepath.Join(dir, "o.csv")
+		errs := map[string]error{}
+		_, errs["slice"] = tl.AnalyzeTrace(tc.td)
+		errs["binary write"] = tc.td.SaveAs(filepath.Join(dir, "s.bin"), oPath, drbw.FormatBinary)
+		errs["csv write"] = tc.td.SaveAs(filepath.Join(dir, "s.csv"), oPath, drbw.FormatCSV)
+
+		// The CSV parse: a valid recording with the value written into the
+		// middle row's field by hand.
+		csvPath := filepath.Join(dir, "hand.csv")
+		if err := td.SaveAs(csvPath, oPath, drbw.FormatCSV); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(csvPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(raw), "\n")
+		row := strings.Split(lines[2+mid], ",")
+		col := map[string]int{"time": 0, "latency": 5}[tc.field]
+		row[col] = tc.text
+		lines[2+mid] = strings.Join(row, ",")
+		if err := os.WriteFile(csvPath, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, errs["csv parse"] = tl.AnalyzeTraceFile(csvPath, oPath)
+		_, errs["csv load"] = drbw.LoadTrace(csvPath, oPath)
+
+		for route, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s via %s: error = %v, want one containing %q", tc.name, route, err, tc.wantErr)
 			}
-		}), "drbw: sample has non-finite time NaN"},
-		{"+Inf", shift(func(i int, r *drbw.SampleRecord) {
-			if i == mid {
-				r.Time = math.Inf(1)
-			}
-		}), "drbw: sample has non-finite time +Inf"},
-		{"-1e300", shift(func(i int, r *drbw.SampleRecord) { r.Time -= 1e300 }), ""},
-		{"+1e300 and -1e300", shift(func(i int, r *drbw.SampleRecord) {
+		}
+	}
+
+	// Accepted: in-range times of any magnitude give one report on every
+	// route.
+	for _, tc := range []struct {
+		name string
+		td   *drbw.TraceData
+	}{
+		{"-2^52 shift", shift(func(i int, r *drbw.SampleRecord) { r.Time -= 1 << 52 })},
+		{"±2^53", shift(func(i int, r *drbw.SampleRecord) {
 			if i%2 == 0 {
-				r.Time = 1e300
+				r.Time = 1 << 53
 			} else {
-				r.Time = -1e300
+				r.Time = -(1 << 53)
 			}
-		}), ""},
+		})},
 	} {
 		dir := t.TempDir()
 		oPath := filepath.Join(dir, "o.csv")
@@ -489,12 +540,6 @@ func TestNonFiniteTimesOneRule(t *testing.T) {
 		var first *drbw.Report
 		for route, analyze := range routes {
 			rep, err := analyze()
-			if tc.wantErr != "" {
-				if err == nil || err.Error() != tc.wantErr {
-					t.Fatalf("%s %s: error = %v, want %q", tc.name, route, err, tc.wantErr)
-				}
-				continue
-			}
 			if err != nil {
 				t.Fatalf("%s %s: %v", tc.name, route, err)
 			}

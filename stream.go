@@ -29,7 +29,7 @@ const (
 	// FormatCSV is the line-oriented text format (v2 with the weight meta
 	// row) — greppable, produced and consumed by shell tooling.
 	FormatCSV TraceFormat = "csv"
-	// FormatBinary is the binary columnar format (v3) — several times
+	// FormatBinary is the binary columnar format (v4) — several times
 	// smaller and faster to decode, the right choice for large traces.
 	// Written with the block index footer, so AnalyzeTraceFile can fan the
 	// blocks across the worker pool.
@@ -94,8 +94,9 @@ func (tr timeRange) filter(block []pebs.Sample) []pebs.Sample {
 	}
 	out := block[:0]
 	for i := range block {
-		if s := &block[i]; s.Time >= tr.lo && s.Time <= tr.hi {
-			out = append(out, *s)
+		// Times lie within ±2^53, so the conversion is exact.
+		if t := float64(block[i].Time); t >= tr.lo && t <= tr.hi {
+			out = append(out, block[i])
 		}
 	}
 	return out
@@ -103,7 +104,7 @@ func (tr timeRange) filter(block []pebs.Sample) []pebs.Sample {
 
 // skipBlock prunes an indexed block whose whole time range misses tr.
 func (tr timeRange) skipBlock(e profiledata.IndexEntry) bool {
-	return tr.limited && (e.MaxTime < tr.lo || e.MinTime > tr.hi)
+	return tr.limited && (float64(e.MaxTime) < tr.lo || float64(e.MinTime) > tr.hi)
 }
 
 // AnalyzeTraceFile runs the AnalyzeTrace pipeline directly off a recording
@@ -322,15 +323,12 @@ func (t *Tool) reset(st *analysisState, sw *sweep, table *profiledata.Table) {
 }
 
 // validateSample rejects a sample the analysis cannot place: a node
-// outside the machine, or a time that is not finite. Every route applies
-// this one rule.
+// outside the machine. Every route applies this one rule; times and
+// latencies were range-checked where they entered the program.
 func (t *Tool) validateSample(s *pebs.Sample) error {
 	nodes := t.machine.Nodes()
 	if s.SrcNode < 0 || int(s.SrcNode) >= nodes || s.HomeNode < 0 || int(s.HomeNode) >= nodes {
 		return fmt.Errorf("drbw: sample references node outside the %d-node machine", nodes)
-	}
-	if math.IsNaN(s.Time) || math.IsInf(s.Time, 0) {
-		return fmt.Errorf("drbw: sample has non-finite time %v", s.Time)
 	}
 	return nil
 }
@@ -344,16 +342,11 @@ func (t *Tool) add(st *analysisState, block []pebs.Sample, tr timeRange) error {
 	nodes := uint(t.machine.Nodes())
 	for i := range block {
 		s := &block[i]
-		// x-x is NaN exactly when x is NaN or infinite.
-		if uint(s.SrcNode) >= nodes || uint(s.HomeNode) >= nodes || s.Time-s.Time != 0 {
+		if uint(s.SrcNode) >= nodes || uint(s.HomeNode) >= nodes {
 			return t.validateSample(s)
 		}
-		if s.Time < st.seen.minT {
-			st.seen.minT = s.Time
-		}
-		if s.Time > st.seen.maxT {
-			st.seen.maxT = s.Time
-		}
+		st.seen.minT = min(st.seen.minT, s.Time)
+		st.seen.maxT = max(st.seen.maxT, s.Time)
 	}
 	st.acc.Add(block)
 	st.tl.Add(block)
@@ -407,16 +400,16 @@ func (ws *workerStates) get(w int) *analysisState {
 // a block index claims for its blocks, or what an analysis saw.
 type sampleSpan struct {
 	n          int64
-	minT, maxT float64
+	minT, maxT int64
 }
 
-func emptySpan() sampleSpan { return sampleSpan{minT: math.Inf(1), maxT: math.Inf(-1)} }
+func emptySpan() sampleSpan { return sampleSpan{minT: math.MaxInt64, maxT: math.MinInt64} }
 
 // union widens c to cover o.
 func (c *sampleSpan) union(o sampleSpan) {
 	c.n += o.n
-	c.minT = math.Min(c.minT, o.minT)
-	c.maxT = math.Max(c.maxT, o.maxT)
+	c.minT = min(c.minT, o.minT)
+	c.maxT = max(c.maxT, o.maxT)
 }
 
 // checkIndexAgrees is the index honesty check: the decoded samples must
@@ -428,7 +421,7 @@ func checkIndexAgrees(claim, seen sampleSpan) error {
 	if claim == seen {
 		return nil
 	}
-	return fmt.Errorf("drbw: index disagrees with recording (index claims %d samples in [%v, %v]; decoded %d samples in [%v, %v])",
+	return fmt.Errorf("drbw: index disagrees with recording (index claims %d samples in [%d, %d]; decoded %d samples in [%d, %d])",
 		claim.n, claim.minT, claim.maxT, seen.n, seen.minT, seen.maxT)
 }
 
